@@ -33,44 +33,49 @@ Quickstart::
     opt.min_energy(1_000_000)  # E* in joules, independent of p
 """
 
-from repro.core import (
-    AlgorithmCosts,
-    CodesignProblem,
-    HeterogeneousMachine,
-    Classical2DMatMulCosts,
-    ClassicalMatMulCosts,
-    EnergyBreakdown,
-    FFTCosts,
-    LU25DCosts,
-    MachineParameters,
-    NBodyCosts,
-    NBodyOptimizer,
-    NumericOptimizer,
-    OptimalRun,
-    PerfectScalingReport,
-    ScalingRange,
-    StrassenMatMulCosts,
-    TimeBreakdown,
-    TwoLevelMachineParameters,
-    energy,
-    energy_from_counts,
-    perfect_scaling_range,
-    runtime,
-    runtime_from_counts,
-    verify_perfect_scaling,
-)
-from repro.exceptions import (
-    CommunicatorError,
-    DeadlockError,
-    InfeasibleError,
-    MemoryRangeError,
-    ParameterError,
-    RankFailedError,
-    ReproError,
-    SimulationError,
-)
-from repro.algorithms import choose_replication, matmul, simulate_replicated
-from repro.simmpi import Comm, SpmdPool, run_spmd, shared_pool
+from repro._lazy import lazy_exports
+
+#: defining module -> the public names it provides, imported on first use
+_EXPORTS = {
+    "repro.core.parameters": ("MachineParameters", "TwoLevelMachineParameters"),
+    "repro.core.costs": (
+        "AlgorithmCosts",
+        "Classical2DMatMulCosts",
+        "ClassicalMatMulCosts",
+        "FFTCosts",
+        "LU25DCosts",
+        "NBodyCosts",
+        "StrassenMatMulCosts",
+    ),
+    "repro.core.timing": ("TimeBreakdown", "runtime", "runtime_from_counts"),
+    "repro.core.energy": ("EnergyBreakdown", "energy", "energy_from_counts"),
+    "repro.core.scaling": (
+        "PerfectScalingReport",
+        "ScalingRange",
+        "perfect_scaling_range",
+        "verify_perfect_scaling",
+    ),
+    "repro.core.optimize": ("NBodyOptimizer", "OptimalRun"),
+    "repro.core.optimize_numeric": ("NumericOptimizer",),
+    "repro.core.heterogeneous": ("HeterogeneousMachine",),
+    "repro.core.codesign": ("CodesignProblem",),
+    "repro.algorithms.driver": ("choose_replication", "matmul"),
+    "repro.algorithms.nbody_sim": ("simulate_replicated",),
+    "repro.simmpi.comm": ("Comm",),
+    "repro.simmpi.engine": ("run_spmd",),
+    "repro.simmpi.pool": ("SpmdPool", "shared_pool"),
+    "repro.exceptions": (
+        "CommunicatorError",
+        "DeadlockError",
+        "InfeasibleError",
+        "MemoryRangeError",
+        "ParameterError",
+        "RankFailedError",
+        "ReproError",
+        "SimulationError",
+    ),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __version__ = "1.0.0"
 

@@ -505,7 +505,7 @@ def profile_strong_scaling_matmul(
     import numpy as np
 
     from repro.algorithms.matmul25d import matmul_25d
-    from repro.analysis.validation import default_machine
+    from repro.machines.catalog import default_machine
     from repro.simmpi.pool import shared_pool
 
     if machine is None:

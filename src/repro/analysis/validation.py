@@ -34,6 +34,7 @@ from repro.algorithms.matmul25d import matmul_25d
 from repro.algorithms.nbody import GRAVITY, ForceLaw, nbody_replicated
 from repro.core.parameters import MachineParameters
 from repro.exceptions import ParameterError
+from repro.machines.catalog import default_machine
 from repro.simmpi.pool import shared_pool
 
 __all__ = [
@@ -66,27 +67,6 @@ class ScalingPoint:
     def words_times_p(self) -> float:
         """The Fig. 3 ordinate, measured: W x p."""
         return float(self.max_words) * self.p
-
-
-def default_machine() -> MachineParameters:
-    """A neutral machine for count-driven time/energy estimation.
-
-    Chosen so that compute, bandwidth and memory all contribute
-    (epsilon_e = alpha_e = 0 like the paper's case study). Shared by
-    the validation sweeps and the ``repro trace`` CLI.
-    """
-    return MachineParameters(
-        gamma_t=1e-9,
-        beta_t=1e-8,
-        alpha_t=1e-7,
-        gamma_e=1e-9,
-        beta_e=1e-8,
-        alpha_e=0.0,
-        delta_e=1e-9,
-        epsilon_e=0.0,
-        memory_words=float(2**30),
-        max_message_words=float(2**30),
-    )
 
 
 def measure_strong_scaling_matmul(

@@ -26,8 +26,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 
 def _cmd_table1(_args) -> None:
     from repro.analysis.tables import render_table1
@@ -93,6 +91,8 @@ def _cmd_fig4(args) -> None:
     )
     s = figure4_series(machine, n=1e6, interaction_flops=10.0)
     if args.plot:
+        import numpy as np
+
         from repro.analysis.asciiplot import region_plot
 
         grid = s["grid"]
@@ -287,6 +287,8 @@ def _build_trace_program(workload: str, p: int, n: int):
     Raises ParameterError when (p, n) violate the workload's layout
     constraints (messages name the constraint, mirroring --help).
     """
+    import numpy as np
+
     rng = np.random.default_rng(0)
     if workload in ("matmul25d", "cannon", "summa"):
         a = rng.standard_normal((n, n))
@@ -328,8 +330,8 @@ def _build_trace_program(workload: str, p: int, n: int):
 def _cmd_trace(args) -> None:
     import json
 
-    from repro.analysis.validation import default_machine
     from repro.exceptions import ReproError
+    from repro.machines.catalog import default_machine
     from repro.simmpi import run_spmd
 
     spec = resolve_scenario(args.workload, "repro trace")
@@ -406,8 +408,8 @@ def _cmd_profile(args) -> None:
         profile_strong_scaling_matmul,
         render_term_sweep,
     )
-    from repro.analysis.validation import default_machine
     from repro.exceptions import ReproError
+    from repro.machines.catalog import default_machine
     from repro.simmpi import run_spmd
 
     machine = default_machine()
@@ -461,14 +463,16 @@ def _cmd_profile(args) -> None:
 def _cmd_faults(args) -> None:
     import json
 
+    import numpy as np
+
     from repro.algorithms.matmul25d import (
         assemble_resilient,
         grid_for_25d,
         matmul_25d_resilient,
     )
     from repro.analysis.profiler import ModelProfile
-    from repro.analysis.validation import default_machine
     from repro.exceptions import ReproError
+    from repro.machines.catalog import default_machine
     from repro.simmpi import FaultPlan, run_spmd
 
     machine = default_machine()
@@ -531,8 +535,8 @@ def _cmd_power(args) -> None:
     import json
 
     from repro.analysis.powertrace import PowerTrace, catalog_power_caps
-    from repro.analysis.validation import default_machine
     from repro.exceptions import ReproError
+    from repro.machines.catalog import default_machine
     from repro.simmpi import run_spmd
 
     spec = resolve_scenario(args.workload, "repro power")
@@ -705,7 +709,7 @@ def _cmd_observe(args) -> None:
     ledger = Ledger(args.ledger)
     try:
         if args.action == "record":
-            from repro.analysis.validation import default_machine
+            from repro.machines.catalog import default_machine
             from repro.observatory import RunRecorder
             from repro.simmpi import run_spmd
 

@@ -13,73 +13,82 @@ Public surface:
 * power — P = E/T and budget inversions
 """
 
-from repro.core.bounds import (
-    matmul_memory_dependent_bound,
-    matmul_memory_independent_bound,
-    nbody_bandwidth_lower_bound,
-    parallel_bandwidth_lower_bound,
-    sequential_bandwidth_lower_bound,
-    sequential_latency_lower_bound,
-    strassen_memory_independent_bound,
-)
-from repro.core.costs import (
-    OMEGA_STRASSEN,
-    AlgorithmCosts,
-    Classical2DMatMulCosts,
-    ClassicalMatMulCosts,
-    FFTCosts,
-    LU25DCosts,
-    NBodyCosts,
-    StrassenMatMulCosts,
-)
-from repro.core.energy import (
-    EnergyBreakdown,
-    energy,
-    energy_fft,
-    energy_from_counts,
-    energy_matmul_25d,
-    energy_matmul_3d,
-    energy_nbody,
-    energy_strassen_flm,
-    energy_strassen_fum,
-)
-from repro.core.codesign import (
-    CodesignProblem,
-    cheapest_conforming_machine,
-    efficiency,
-    feasible_scaling,
-)
-from repro.core.heterogeneous import HeterogeneousMachine, WorkAssignment
-from repro.core.optimize import NBodyOptimizer, OptimalRun
-from repro.core.optimize_numeric import NumericOptimizer, matmul_optimal_memory
-from repro.core.parameters import (
-    MachineParameters,
-    TwoLevelMachineParameters,
-    effective_beta,
-)
-from repro.core.power import (
-    average_power,
-    max_p_under_total_power,
-    per_processor_power,
-)
-from repro.core.scaling import (
-    PerfectScalingReport,
-    ScalingRange,
-    bandwidth_cost_times_p,
-    in_perfect_scaling_range,
-    perfect_scaling_range,
-    verify_perfect_scaling,
-)
-from repro.core.timing import TimeBreakdown, runtime, runtime_from_counts
-from repro.core.twolevel import (
-    TwoLevelCounts,
-    matmul_twolevel_energy,
-    matmul_twolevel_time,
-    nbody_twolevel_energy,
-    nbody_twolevel_time,
-    twolevel_energy_from_counts,
-    twolevel_time_from_counts,
-)
+from repro._lazy import lazy_exports
+
+# Eager: importing the repro.core.energy submodule would shadow a lazy ``energy``.
+from repro.core.energy import energy
+
+#: defining module -> the public names it provides, imported on first use
+_EXPORTS = {
+    "repro.core.bounds": (
+        "matmul_memory_dependent_bound",
+        "matmul_memory_independent_bound",
+        "nbody_bandwidth_lower_bound",
+        "parallel_bandwidth_lower_bound",
+        "sequential_bandwidth_lower_bound",
+        "sequential_latency_lower_bound",
+        "strassen_memory_independent_bound",
+    ),
+    "repro.core.costs": (
+        "OMEGA_STRASSEN",
+        "AlgorithmCosts",
+        "Classical2DMatMulCosts",
+        "ClassicalMatMulCosts",
+        "FFTCosts",
+        "LU25DCosts",
+        "NBodyCosts",
+        "StrassenMatMulCosts",
+    ),
+    "repro.core.energy": (
+        "EnergyBreakdown",
+        "energy",
+        "energy_fft",
+        "energy_from_counts",
+        "energy_matmul_25d",
+        "energy_matmul_3d",
+        "energy_nbody",
+        "energy_strassen_flm",
+        "energy_strassen_fum",
+    ),
+    "repro.core.codesign": (
+        "CodesignProblem",
+        "cheapest_conforming_machine",
+        "efficiency",
+        "feasible_scaling",
+    ),
+    "repro.core.heterogeneous": ("HeterogeneousMachine", "WorkAssignment"),
+    "repro.core.optimize": ("NBodyOptimizer", "OptimalRun"),
+    "repro.core.optimize_numeric": ("NumericOptimizer", "matmul_optimal_memory"),
+    "repro.core.parameters": (
+        "MachineParameters",
+        "TwoLevelMachineParameters",
+        "effective_beta",
+    ),
+    "repro.core.power": (
+        "average_power",
+        "max_p_under_total_power",
+        "per_processor_power",
+    ),
+    "repro.core.scaling": (
+        "PerfectScalingReport",
+        "ScalingRange",
+        "bandwidth_cost_times_p",
+        "in_perfect_scaling_range",
+        "perfect_scaling_range",
+        "verify_perfect_scaling",
+    ),
+    "repro.core.timing": ("TimeBreakdown", "runtime", "runtime_from_counts"),
+    "repro.core.twolevel": (
+        "TwoLevelCounts",
+        "matmul_twolevel_energy",
+        "matmul_twolevel_time",
+        "nbody_twolevel_energy",
+        "nbody_twolevel_time",
+        "twolevel_energy_from_counts",
+        "twolevel_time_from_counts",
+    ),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     # parameters

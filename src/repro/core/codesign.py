@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize as _sciopt
 
 from repro.core.costs import AlgorithmCosts, ClassicalMatMulCosts
 from repro.core.energy import energy
@@ -190,6 +189,8 @@ def cheapest_conforming_machine(
         machine = problem.scaled_machine(np.ones(k))
         return machine, np.ones(k), 0.0
 
+    from scipy.optimize import minimize
+
     w = np.array([problem.cost_weights[n] for n in names])
     x_max = -math.log(floor)
     target = problem.target_gflops_per_watt
@@ -202,7 +203,7 @@ def cheapest_conforming_machine(
 
     x = np.full(k, 0.1)
     for mu in (1e2, 1e4, 1e6, 1e8):
-        res = _sciopt.minimize(
+        res = minimize(
             objective,
             x,
             args=(mu,),

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as _sciopt
 
 from repro.core.costs import AlgorithmCosts
 from repro.core.energy import energy
@@ -91,6 +90,8 @@ def matmul_optimal_memory(machine: MachineParameters) -> float:
         # The cubic term is negligible beyond float range: the quadratic
         # d_b u^2 = B limit applies (same as the d_g == 0 branch).
         return max(1.0, B / d_b)
+    from scipy.optimize import brentq
+
     # f(t) = t^3 + k t^2 - 1 is strictly increasing on t > 0 (k >= 0)
     # with f(0) = -1 and f(1) = k >= 0, so the unique positive root lies
     # in (0, 1]. For large k it sits near t = k^{-1/2}; bracket a little
@@ -98,7 +99,7 @@ def matmul_optimal_memory(machine: MachineParameters) -> float:
     # eigensolve (np.roots), this cannot lose the root to rounding when
     # k is huge (k ~ 1e49 arises from realistic machine constants).
     lo = 0.5 * min(1.0, k**-0.5) if k > 0 else 0.0
-    t = float(_sciopt.brentq(lambda x: x * x * (x + k) - 1.0, lo, 1.0))
+    t = float(brentq(lambda x: x * x * (x + k) - 1.0, lo, 1.0))
     u = s * t
     # Less than one word of memory is not a physical operating point.
     return max(1.0, u * u)
@@ -149,11 +150,12 @@ class NumericOptimizer:
     ) -> tuple[float, float]:
         """Golden-section refinement of a unimodal fn over [lo, hi] in
         log-space. Returns (argmin M, min value)."""
+        from scipy.optimize import minimize_scalar
 
         def g(logM: float) -> float:
             return fn(math.exp(logM))
 
-        res = _sciopt.minimize_scalar(
+        res = minimize_scalar(
             g, bounds=(math.log(lo), math.log(hi)), method="bounded"
         )
         M = math.exp(res.x)

@@ -47,6 +47,7 @@ __all__ = [
     "derive_beta_e",
     "derive_delta_e",
     "jaketown_machine",
+    "default_machine",
 ]
 
 
@@ -240,3 +241,25 @@ def derive_delta_e(dimm_count: int, dimm_power_w: float, memory_words: float) ->
 def jaketown_machine(**overrides: float) -> MachineParameters:
     """A copy of the Table I machine, optionally with fields overridden."""
     return JAKETOWN.replace(**overrides) if overrides else JAKETOWN
+
+
+def default_machine() -> MachineParameters:
+    """A neutral machine for count-driven time/energy estimation.
+
+    Chosen so that compute, bandwidth and memory all contribute
+    (epsilon_e = alpha_e = 0 like the paper's case study). Shared by
+    the validation sweeps, the sweep engine's ``"default"`` machine and
+    the ``repro trace`` CLI.
+    """
+    return MachineParameters(
+        gamma_t=1e-9,
+        beta_t=1e-8,
+        alpha_t=1e-7,
+        gamma_e=1e-9,
+        beta_e=1e-8,
+        alpha_e=0.0,
+        delta_e=1e-9,
+        epsilon_e=0.0,
+        memory_words=float(2**30),
+        max_message_words=float(2**30),
+    )

@@ -25,23 +25,29 @@ a time; this package makes the claim empirical and durable:
   ``repro observe`` CLI subcommand.
 """
 
-from repro.observatory.drift import (
-    DRIFT_TOLERANCES,
-    BaselineDiff,
-    SweepVerdict,
-    TermVerdict,
-    check_power_flatness,
-    check_sweep,
-    diff_against_baseline,
-    inflate_term,
-)
-from repro.observatory.fit import FitResult, fit_records
-from repro.observatory.ledger import (
-    LEDGER_SCHEMA,
-    Ledger,
-    RunRecord,
-    RunRecorder,
-)
+from repro._lazy import lazy_exports
+
+#: defining module -> the public names it provides, imported on first use
+_EXPORTS = {
+    "repro.observatory.drift": (
+        "DRIFT_TOLERANCES",
+        "BaselineDiff",
+        "SweepVerdict",
+        "TermVerdict",
+        "check_power_flatness",
+        "check_sweep",
+        "diff_against_baseline",
+        "inflate_term",
+    ),
+    "repro.observatory.fit": ("FitResult", "fit_records"),
+    "repro.observatory.ledger": (
+        "LEDGER_SCHEMA",
+        "Ledger",
+        "RunRecord",
+        "RunRecorder",
+    ),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "LEDGER_SCHEMA",

@@ -66,6 +66,26 @@ class SpmdResult:
         return Timeline.from_result(self)
 
 
+def _join_budget(timeout: float) -> float:
+    """Seconds the join watchdog waits for every rank: one full receive
+    timeout for the slowest rank to unblock, another for its own cleanup
+    cascade, plus scheduling slack."""
+    return 2.0 * timeout + 1.0
+
+
+def _join_timeout_message(stuck: list[int], timeout: float) -> str:
+    """The join watchdog's verdict, shared by :func:`run_spmd` and
+    :class:`~repro.simmpi.pool.SpmdPool`."""
+    return (
+        f"rank thread(s) {stuck} did not finish within the "
+        f"{_join_budget(timeout):.1f}s join budget (2*timeout+1, "
+        f"timeout={timeout:g}s): either wedged outside a receive (e.g. an "
+        "infinite loop in the SPMD program) or still running because the "
+        "program needs longer than the budget (e.g. a large p); if it was "
+        "making progress, raise `timeout=`"
+    )
+
+
 def _finalize(
     world: World,
     results: list[Any],
@@ -212,8 +232,9 @@ def run_spmd(
     RankFailedError
         If any rank raises; carries the per-rank exceptions.
     DeadlockError
-        If rank threads fail to join within the watchdog budget (a rank
-        wedged outside a receive, e.g. a user-code infinite loop).
+        If rank threads fail to join within the watchdog budget: a rank
+        wedged outside a receive (e.g. a user-code infinite loop), or a
+        program that needs longer than ``2*timeout + 1`` seconds.
     """
     world = World(
         size,
@@ -259,10 +280,8 @@ def run_spmd(
     # Join watchdog: the mailbox deadlock timeout only covers ranks
     # blocked in a receive. A rank wedged *outside* one (user-code
     # infinite loop) would hang a bare join forever, so bound the total
-    # join time consistently with ``timeout=``: one full receive timeout
-    # for the slowest rank to unblock, another for its own cleanup
-    # cascade, plus scheduling slack.
-    deadline = _monotonic() + 2.0 * world.timeout + 1.0
+    # join time consistently with ``timeout=``.
+    deadline = _monotonic() + _join_budget(world.timeout)
     stuck = []
     for r, t in enumerate(threads):
         t.join(max(0.0, deadline - _monotonic()))
@@ -270,12 +289,7 @@ def run_spmd(
             stuck.append(r)
     if stuck:
         world.abort()  # unblock anything still waiting on the stuck ranks
-        raise DeadlockError(
-            f"rank thread(s) {stuck} failed to join within "
-            f"{2.0 * world.timeout + 1.0:.1f}s (2*timeout+1); the rank(s) "
-            "are wedged outside a receive — likely an infinite loop in "
-            "the SPMD program"
-        )
+        raise DeadlockError(_join_timeout_message(stuck, world.timeout))
 
     return _finalize(
         world, results, failures, crashes, wall_seconds=_monotonic() - wall_start

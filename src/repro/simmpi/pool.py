@@ -41,7 +41,12 @@ from typing import Any, Callable
 
 from repro.exceptions import DeadlockError, RankCrashedError
 from repro.simmpi.comm import Comm
-from repro.simmpi.engine import SpmdResult, _finalize
+from repro.simmpi.engine import (
+    SpmdResult,
+    _finalize,
+    _join_budget,
+    _join_timeout_message,
+)
 from repro.simmpi.world import World
 
 __all__ = ["SpmdPool", "shared_pool"]
@@ -215,10 +220,10 @@ class SpmdPool:
         ``fastpath=`` analytic-collective toggle and the ``record=``
         run-ledger hook) —
         minus the per-call thread spawn/join. Like ``run_spmd``'s join
-        watchdog, a rank wedged outside a receive raises
-        :class:`~repro.exceptions.DeadlockError` naming the stuck ranks
-        after ``2*timeout + 1`` seconds; the wedged workers are replaced
-        so the pool stays usable.
+        watchdog, a rank that has not finished after ``2*timeout + 1``
+        seconds (wedged outside a receive, or still running) raises
+        :class:`~repro.exceptions.DeadlockError` naming the stuck ranks;
+        their workers are replaced so the pool stays usable.
         """
         world = World(
             size,
@@ -257,8 +262,7 @@ class SpmdPool:
             )
             for rank in range(size):
                 self._queues[rank].put((rank, job))
-            budget = 2.0 * world.timeout + 1.0
-            if not latch.wait(budget):
+            if not latch.wait(_join_budget(world.timeout)):
                 world.abort()  # unblock anything waiting on the stuck ranks
                 # Give aborted ranks a moment to unwind, then replace the
                 # workers still wedged in user code so the pool survives.
@@ -266,10 +270,8 @@ class SpmdPool:
                 stuck = [r for r in range(size) if not job.done[r]]
                 self._replace_workers(stuck)
                 raise DeadlockError(
-                    f"rank thread(s) {stuck} failed to finish within "
-                    f"{budget:.1f}s (2*timeout+1); the rank(s) are wedged "
-                    "outside a receive — likely an infinite loop in the "
-                    "SPMD program (wedged pool workers were replaced)"
+                    _join_timeout_message(stuck, world.timeout)
+                    + " (the stuck pool workers were replaced)"
                 )
 
         return _finalize(

@@ -18,33 +18,39 @@ benchmarks). This package makes those grids cheap:
 CLI: ``repro sweep plan|run|gc``.
 """
 
-from repro.sweep.cache import (
-    CacheStats,
-    RunCache,
-    cache_key,
-    code_fingerprint,
-)
-from repro.sweep.executor import (
-    CellOutcome,
-    SweepOutcome,
-    default_workers,
-    run_sweep,
-)
-from repro.sweep.runner import (
-    build_cell_program,
-    cell_machine,
-    cell_oracle,
-    execute_cell,
-)
-from repro.sweep.spec import (
-    COLLECTIVE_OPS,
-    SCENARIO_WORKLOADS,
-    Cell,
-    SweepSpec,
-    collective_cell,
-    plan_cells,
-    smoke_spec,
-)
+from repro._lazy import lazy_exports
+
+#: defining module -> the public names it provides, imported on first use
+_EXPORTS = {
+    "repro.sweep.cache": (
+        "CacheStats",
+        "RunCache",
+        "cache_key",
+        "code_fingerprint",
+    ),
+    "repro.sweep.executor": (
+        "CellOutcome",
+        "SweepOutcome",
+        "default_workers",
+        "run_sweep",
+    ),
+    "repro.sweep.runner": (
+        "build_cell_program",
+        "cell_machine",
+        "cell_oracle",
+        "execute_cell",
+    ),
+    "repro.sweep.spec": (
+        "COLLECTIVE_OPS",
+        "SCENARIO_WORKLOADS",
+        "Cell",
+        "SweepSpec",
+        "collective_cell",
+        "plan_cells",
+        "smoke_spec",
+    ),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "COLLECTIVE_OPS",

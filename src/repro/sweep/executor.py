@@ -34,7 +34,6 @@ querying is already order-insensitive).
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import os
 import queue as queue_mod
 import time
@@ -44,7 +43,6 @@ from typing import Any, Iterable, Sequence
 from repro.exceptions import SweepError
 from repro.observatory.ledger import Ledger, RunRecord
 from repro.sweep.cache import RunCache, code_fingerprint
-from repro.sweep.runner import execute_cell
 from repro.sweep.spec import Cell
 
 __all__ = [
@@ -150,6 +148,8 @@ def _shard_worker(
     k results the worker flushes the queue feeder and dies with
     ``os._exit`` — no cleanup, no sentinel — exactly like a segfault.
     """
+    from repro.sweep.runner import execute_cell
+
     done = 0
     for cell_id, cell_json in payloads:
         if crash_after is not None and done >= crash_after:
@@ -180,6 +180,8 @@ def _annotate(record: RunRecord, cache_status: str, cell_id: str) -> RunRecord:
 
 
 def _mp_context(name: str | None):
+    import multiprocessing
+
     if name:
         return multiprocessing.get_context(name)
     # fork is cheap and inherits the imported simulator; fall back to
@@ -279,6 +281,12 @@ def run_sweep(
     if workers is None:
         workers = min(default_workers(), max(1, len(misses)))
     outcome.workers = workers
+    if not misses:
+        outcome.elapsed = time.perf_counter() - start
+        return outcome
+    # Only a miss needs the simulator; loading it here, before any fork,
+    # keeps warm replays free of it and lets workers inherit it.
+    from repro.sweep.runner import execute_cell
 
     def _commit(cell: Cell, record: RunRecord, shard_id: int | None) -> None:
         if cache is not None:
@@ -296,7 +304,7 @@ def run_sweep(
         )
 
     # -- serial reference path --------------------------------------------
-    if workers == 0 or not misses:
+    if workers == 0:
         for cell in misses:
             try:
                 record = execute_cell(cell)

@@ -113,7 +113,7 @@ def resolve_machine_spec(machine: Any) -> dict[str, float]:
     """Resolve a spec's machine field — ``"default"``, ``"jaketown"``,
     a constants dict or a live MachineParameters — to the plain dict."""
     if machine is None or machine == "default":
-        from repro.analysis.validation import default_machine
+        from repro.machines.catalog import default_machine
 
         return _machine_dict(default_machine())
     if machine == "jaketown":

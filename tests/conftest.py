@@ -2,12 +2,25 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from repro.core.parameters import MachineParameters
 from repro.machines.catalog import JAKETOWN
+
+
+@pytest.fixture
+def src_env() -> dict[str, str]:
+    """Environment for a fresh interpreter that imports this checkout's
+    ``repro`` (its ``src`` first on ``PYTHONPATH``)."""
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 @pytest.fixture

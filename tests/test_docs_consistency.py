@@ -4,12 +4,20 @@ DESIGN.md and EXPERIMENTS.md promise specific bench targets, modules
 and commands; these tests fail if the docs rot relative to the tree.
 """
 
+import importlib
+import json
 import pathlib
 import re
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
 ROOT = pathlib.Path(__file__).parent.parent
+
+#: Package roots that resolve their public names on first use.
+LAZY_PACKAGES = ("repro", "repro.core", "repro.observatory", "repro.sweep")
 
 
 def read(name: str) -> str:
@@ -78,8 +86,10 @@ class TestPublicApiImports:
         import repro.analysis
         import repro.core
         import repro.machines
+        import repro.observatory
         import repro.sequential
         import repro.simmpi
+        import repro.sweep
 
         for mod in (
             repro.core,
@@ -88,6 +98,60 @@ class TestPublicApiImports:
             repro.machines,
             repro.analysis,
             repro.sequential,
+            repro.observatory,
+            repro.sweep,
         ):
             for name in mod.__all__:
                 assert hasattr(mod, name), f"{mod.__name__}.{name}"
+
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_lazy_package_dir_covers_all(self, package):
+        pkg = importlib.import_module(package)
+        assert set(pkg.__all__) <= set(dir(pkg))
+
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_lazy_package_unknown_attribute_names_the_package(self, package):
+        pkg = importlib.import_module(package)
+        with pytest.raises(AttributeError, match=re.escape(repr(package))):
+            getattr(pkg, "no_such_public_name")
+
+    def test_lazy_names_are_their_defining_objects(self, src_env):
+        """With every submodule imported first (so a submodule that
+        shares a public name, like ``repro.core.energy``, is bound on its
+        package), each ``__all__`` name of a lazy package is still the
+        object its defining module holds. Run in a fresh interpreter so
+        no earlier test decides the import order."""
+        script = textwrap.dedent(
+            f"""
+            import importlib, json, pkgutil, types
+            import repro
+
+            for info in pkgutil.walk_packages(repro.__path__, "repro."):
+                if not info.name.endswith("__main__"):
+                    importlib.import_module(info.name)
+            wrong = []
+            for package in {LAZY_PACKAGES!r}:
+                pkg = importlib.import_module(package)
+                home = {{
+                    name: module
+                    for module, names in pkg._EXPORTS.items()
+                    for name in names
+                }}
+                for name in pkg.__all__:
+                    owner = importlib.import_module(home.get(name, package))
+                    value = getattr(pkg, name)
+                    if isinstance(value, types.ModuleType) or (
+                        value is not getattr(owner, name)
+                    ):
+                        wrong.append(package + "." + name)
+            print(json.dumps(wrong))
+            """
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env=src_env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert json.loads(out.stdout) == []

@@ -349,8 +349,10 @@ class TestJoinWatchdog:
 
         try:
             t0 = time.monotonic()
-            with pytest.raises(DeadlockError, match=r"\[1\].*wedged outside"):
+            with pytest.raises(DeadlockError, match=r"\[1\].*wedged outside") as exc:
                 run_spmd(2, prog, timeout=0.2)
+            # The budget can also just be too short for a big run.
+            exc.match(r"still running.*raise `timeout=`")
             # Bounded by 2*timeout+1, not the default 60s join.
             assert time.monotonic() - t0 < 10.0
         finally:

@@ -66,6 +66,28 @@ class TestSpmdPool:
             # The pool remains usable after a failed run.
             assert pool.run(4, _sum_of_ranks).results == (6, 6, 6, 6)
 
+    def test_wedged_rank_is_named_and_its_worker_replaced(self):
+        """The join watchdog gives run_spmd's verdict, then replaces the
+        stuck worker so the pool stays usable."""
+        release = threading.Event()
+
+        def prog(comm):
+            if comm.rank == 1:
+                while not release.wait(0.01):  # wedged until released
+                    pass
+            return comm.rank
+
+        with SpmdPool() as pool:
+            try:
+                with pytest.raises(
+                    DeadlockError,
+                    match=r"\[1\].*wedged outside.*raise `timeout=`.*replaced",
+                ):
+                    pool.run(2, prog, timeout=0.2)
+            finally:
+                release.set()
+            assert pool.run(2, _sum_of_ranks).results == (1, 1)
+
     def test_shutdown_is_idempotent_and_final(self):
         pool = SpmdPool()
         pool.run(2, _sum_of_ranks)
