@@ -306,7 +306,7 @@ def regress_fastpath(smoke: bool, checks: list) -> dict:
     default) versus ``fastpath=False`` (pure message simulation). No
     baseline file — the comparison is exact, so there is nothing to
     tolerate."""
-    from repro.analysis.validation import default_machine
+    from repro.machines.catalog import default_machine
     from repro.simmpi import run_spmd
 
     import numpy as np

@@ -3,61 +3,67 @@ simmpi execution mode.
 
 :mod:`repro.conformance.oracles` predicts per-rank F/W/S/M counts and
 virtual clocks from each collective's documented cost contract and each
-registry scenario's closed form — independently of the simulator.
-:mod:`repro.conformance.differ` runs every (case x execution-mode) cell
-and asserts bit-identity between modes and against the oracle. The CLI
-front-end is ``repro conformance``.
+registry scenario's closed form; the simulator's collective fast path
+prices its calls with the same oracles. :mod:`repro.conformance.differ`
+runs every (case x execution-mode) cell and asserts bit-identity
+between modes and of the executed message path against the oracle. The
+CLI front-end is ``repro conformance``. Names resolve lazily, so the
+fast path's import of the oracles does not load the differ.
 """
 
-from repro.conformance.differ import (
-    BASELINE_VARIANT,
-    Case,
-    CellResult,
-    ConformanceReport,
-    Divergence,
-    MACHINE,
-    VARIANTS,
-    collective_cases,
-    deliberately_perturbed,
-    error_cases,
-    grid_cases,
-    random_cases,
-    replay_cell,
-    run_cell,
-    run_grid,
-    scenario_cases,
-    smoke_cases,
-)
-from repro.conformance.oracles import (
-    COLLECTIVE_ORACLES,
-    OracleCosts,
-    OracleSpec,
-    RankCosts,
-    SCENARIO_ORACLES,
-    ScenarioOracle,
-    binomial_send_masks,
-    chunk_sizes,
-    oracle_allgather,
-    oracle_allreduce,
-    oracle_allreduce_recursive_doubling,
-    oracle_alltoall,
-    oracle_alltoall_bruck,
-    oracle_barrier,
-    oracle_bcast,
-    oracle_bcast_scatter_allgather,
-    oracle_gather,
-    oracle_reduce,
-    oracle_reduce_scatter,
-    oracle_reduce_scatter_gather,
-    oracle_scatter,
-    oracle_scenario,
-    string_words,
-)
+from repro._lazy import lazy_exports
+
+#: defining module -> the public names it provides, imported on first use
+_EXPORTS = {
+    "repro.conformance.differ": (
+        "BASELINE_VARIANT",
+        "Case",
+        "CellResult",
+        "ConformanceReport",
+        "Divergence",
+        "MACHINE",
+        "VARIANTS",
+        "collective_cases",
+        "deliberately_perturbed",
+        "error_cases",
+        "grid_cases",
+        "random_cases",
+        "replay_cell",
+        "run_cell",
+        "run_grid",
+        "scenario_cases",
+        "smoke_cases",
+    ),
+    "repro.conformance.oracles": (
+        "COLLECTIVE_ORACLES",
+        "OracleCosts",
+        "OracleSpec",
+        "SCENARIO_ORACLES",
+        "ScenarioOracle",
+        "binomial_send_masks",
+        "chunk_sizes",
+        "oracle_allgather",
+        "oracle_allreduce",
+        "oracle_allreduce_recursive_doubling",
+        "oracle_alltoall",
+        "oracle_alltoall_bruck",
+        "oracle_barrier",
+        "oracle_bcast",
+        "oracle_bcast_scatter_allgather",
+        "oracle_gather",
+        "oracle_reduce",
+        "oracle_reduce_scatter",
+        "oracle_reduce_scatter_gather",
+        "oracle_scatter",
+        "oracle_scenario",
+        "string_words",
+    ),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     # oracles
     "OracleSpec",
-    "RankCosts",
     "OracleCosts",
     "ScenarioOracle",
     "COLLECTIVE_ORACLES",

@@ -568,13 +568,38 @@ def _payload(kind: str, words: int):
 # ----------------------------------------------------------------------
 
 
-def _spec(case_kwargs: dict, size: int) -> OracleSpec:
+def _spec(case_kwargs: dict, ranks: Sequence[int]) -> OracleSpec:
+    """The oracle spec of a communicator whose members are the world
+    ``ranks``: node ids follow the world ranks, not the local ones."""
+    ns = case_kwargs.get("node_size")
     return OracleSpec(
-        size,
+        len(ranks),
         max_message_words=case_kwargs.get("max_message_words", math.inf),
         machine=case_kwargs.get("machine", MACHINE),
-        node_size=case_kwargs.get("node_size"),
+        nodes=None if ns is None else tuple(r // ns for r in ranks),
     )
+
+
+def _on_halves(build: Callable[[], tuple]) -> Callable[[], tuple]:
+    """A case builder whose program runs ``build``'s program on this
+    rank's half of ``comm.split(rank % 2)``."""
+
+    def split_build() -> tuple:
+        program, args = build()
+        return (lambda comm, *a: program(comm.split(comm.rank % 2), *a)), args
+
+    return split_build
+
+
+def _on_world(costs: Sequence[OracleCosts], groups, size: int) -> OracleCosts:
+    """Place each group's per-rank oracle costs at its members' world
+    ranks."""
+    columns = [[0] * size for _ in range(8)] + [[0.0] * size]
+    for oc, group in zip(costs, groups):
+        for column, part in zip(columns, (*oc.counts, oc.vtimes)):
+            for w, value in zip(group, part):
+                column[w] = value
+    return OracleCosts(tuple(map(tuple, columns[:8])), tuple(columns[8]))
 
 
 def collective_cases(
@@ -584,36 +609,39 @@ def collective_cases(
     payload_kind: str = "array",
     root_of: Callable[[int], int] = lambda p: p - 1,
     words: int = 17,
+    split: bool = False,
 ) -> list[Case]:
     """The ten-collective battery at each size. Payload word counts vary
     per collective so W, S and chunking all move; roots default to the
-    last rank to exercise the vrank rotation."""
+    last rank to exercise the vrank rotation.
+
+    With ``split`` the battery runs on both halves of
+    ``comm.split(rank % 2)`` in a world of 2p ranks (``node_size_of``
+    sees the world size). A half's members are the world ranks of one
+    parity, so each half's oracle is built from that group's node ids.
+    """
     out: list[Case] = []
     for p in sizes:
-        ns = node_size_of(p)
+        size = 2 * p if split else p
+        ns = node_size_of(size)
         kw = dict(max_message_words=mmw, node_size=ns)
-        spec = _spec(kw, p)
+        groups = [range(c, size, 2) for c in (0, 1)] if split else [range(p)]
+        specs = [_spec(kw, g) for g in groups]
         root = root_of(p)
-        tag = f"p={p}/mmw={mmw}/ns={ns}"
+        tag = f"p={size}/mmw={mmw}/ns={ns}" + ("/split" if split else "")
         builder, bw = _payload(payload_kind, words)
 
-        def _mk(name, program_of, oracle, bsize=p, bkw=kw):
-            out.append(
-                Case(
-                    name=f"{name}/{tag}",
-                    size=bsize,
-                    build=program_of,
-                    oracle=oracle,
-                    **bkw,
-                )
-            )
+        def _mk(name, program_of, oracle_of):
+            build = _on_halves(program_of) if split else program_of
+            oracle = _on_world([oracle_of(sp) for sp in specs], groups, size)
+            out.append(Case(f"{name}/{tag}", size, build, oracle=oracle, **kw))
 
         from repro.simmpi import collectives as _c
 
         _mk(
             "barrier",
             lambda _c=_c: (lambda comm: _c.barrier(comm), ()),
-            _oracles.oracle_barrier(spec),
+            _oracles.oracle_barrier,
         )
         _mk(
             "bcast",
@@ -621,7 +649,7 @@ def collective_cases(
                 lambda comm: _c.bcast(comm, b() if comm.rank == r else None, root=r),
                 (),
             ),
-            _oracles.oracle_bcast(spec, bw, root=root),
+            lambda sp: _oracles.oracle_bcast(sp, bw, root=root),
         )
         _mk(
             "reduce",
@@ -629,7 +657,7 @@ def collective_cases(
                 lambda comm: _c.reduce(comm, np.arange(float(w)), root=r),
                 (),
             ),
-            _oracles.oracle_reduce(spec, words, root=root),
+            lambda sp: _oracles.oracle_reduce(sp, words, root=root),
         )
         _mk(
             "allreduce",
@@ -637,7 +665,7 @@ def collective_cases(
                 lambda comm: _c.allreduce(comm, np.arange(float(w))),
                 (),
             ),
-            _oracles.oracle_allreduce(spec, words),
+            lambda sp: _oracles.oracle_allreduce(sp, words),
         )
         _mk(
             "allreduce_rd",
@@ -647,7 +675,7 @@ def collective_cases(
                 ),
                 (),
             ),
-            _oracles.oracle_allreduce_recursive_doubling(spec, words),
+            lambda sp: _oracles.oracle_allreduce_recursive_doubling(sp, words),
         )
         total = 3 * words + 5  # deliberately not divisible by most p
         _mk(
@@ -656,7 +684,7 @@ def collective_cases(
                 lambda comm: _c.reduce_scatter(comm, np.arange(float(t))),
                 (),
             ),
-            _oracles.oracle_reduce_scatter(spec, total),
+            lambda sp: _oracles.oracle_reduce_scatter(sp, total),
         )
         _mk(
             "reduce_rsg",
@@ -669,7 +697,7 @@ def collective_cases(
                 ),
                 (),
             ),
-            _oracles.oracle_reduce_scatter_gather(spec, total, root=root),
+            lambda sp: _oracles.oracle_reduce_scatter_gather(sp, total, root=root),
         )
         ragged = [3 + (r % 4) for r in range(p)]
         _mk(
@@ -678,7 +706,7 @@ def collective_cases(
                 lambda comm: _c.allgather(comm, np.arange(float(3 + comm.rank % 4))),
                 (),
             ),
-            _oracles.oracle_allgather(spec, ragged),
+            lambda sp: _oracles.oracle_allgather(sp, ragged),
         )
         _mk(
             "gather",
@@ -688,7 +716,7 @@ def collective_cases(
                 ),
                 (),
             ),
-            _oracles.oracle_gather(spec, ragged, root=root),
+            lambda sp: _oracles.oracle_gather(sp, ragged, root=root),
         )
         _mk(
             "scatter",
@@ -702,7 +730,7 @@ def collective_cases(
                 ),
                 (),
             ),
-            _oracles.oracle_scatter(spec, ragged, root=root),
+            lambda sp: _oracles.oracle_scatter(sp, ragged, root=root),
         )
         _mk(
             "alltoall",
@@ -712,7 +740,7 @@ def collective_cases(
                 ),
                 (),
             ),
-            _oracles.oracle_alltoall(spec, 3),
+            lambda sp: _oracles.oracle_alltoall(sp, 3),
         )
         if p & (p - 1) == 0:
             _mk(
@@ -723,7 +751,7 @@ def collective_cases(
                     ),
                     (),
                 ),
-                _oracles.oracle_alltoall_bruck(spec, 3),
+                lambda sp: _oracles.oracle_alltoall_bruck(sp, 3),
             )
         _mk(
             "bcast_sa",
@@ -736,7 +764,7 @@ def collective_cases(
                 ),
                 (),
             ),
-            _oracles.oracle_bcast_scatter_allgather(spec, words, root=root),
+            lambda sp: _oracles.oracle_bcast_scatter_allgather(sp, words, root=root),
         )
     return out
 
@@ -792,7 +820,9 @@ def scenario_cases() -> list[Case]:
 def smoke_cases() -> list[Case]:
     """The deterministic CI grid: collectives at power-of-two and
     non-power-of-two sizes under varied message caps and node groupings,
-    Bruck error-conformance cells, and all registry scenarios."""
+    the battery on split communicators whose internode tallies follow
+    world ranks, Bruck error-conformance cells, and all registry
+    scenarios."""
     cases: list[Case] = []
     cases += collective_cases((3, 5, 7, 9), mmw=math.inf)
     cases += collective_cases(
@@ -800,6 +830,9 @@ def smoke_cases() -> list[Case]:
     )
     cases += collective_cases(
         (12, 16), mmw=16.0, node_size_of=lambda p: 4, payload_kind="dict"
+    )
+    cases += collective_cases(
+        (3, 4), mmw=4.0, node_size_of=lambda size: size // 2, split=True
     )
     cases += error_cases((3, 5, 6, 7, 9, 12))
     cases += scenario_cases()
@@ -842,7 +875,7 @@ def random_cases(seed: int, count: int = 40) -> list[Case]:
         divisors = [d for d in range(1, p + 1) if p % d == 0]
         ns = rng.choice([None] + divisors)
         kw = dict(max_message_words=mmw, node_size=ns)
-        spec = _spec(kw, p)
+        spec = _spec(kw, range(p))
         tag = f"seed={seed}/i={i}/p={p}/root={root}/w={words}/mmw={mmw}/ns={ns}"
 
         def case(build, oracle):

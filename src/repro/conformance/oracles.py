@@ -1,13 +1,15 @@
 """Closed-form per-rank cost oracles for the simmpi collectives and the
 registry scenarios.
 
-The simulator produces F/W/S/M counts four independent ways (message
-path, analytic fastpath, engine vs pool substrate, copy vs CoW payload
-transport). All four are *implementations*; this module is the
-*specification*: each oracle derives a collective's per-rank counts and
-virtual clocks directly from its documented cost contract (the table in
-:mod:`repro.simmpi.collectives` and each algorithm's docstring), in
-plain Python, sharing no metering code with the simulator.
+Each collective's cost recurrence lives here and only here. Every
+oracle derives a collective's per-rank counts and virtual clocks from
+its documented cost contract (the table in
+:mod:`repro.simmpi.collectives` and each algorithm's docstring). The
+analytic fast path (:mod:`repro.simmpi.fastpath`) prices every gated
+collective by calling these oracles with the word counts its payload
+routing saw. The independent check is the executed message path, which
+meters every envelope itself: the ``repro conformance`` grid compares
+it against these oracles cell by cell.
 
 Conventions (the paper's, as adopted by the simulator):
 
@@ -22,8 +24,8 @@ Conventions (the paper's, as adopted by the simulator):
   clock to the message's departure time;
 * W and S charge the *sender*; receive-side tallies are tracked too and
   must conserve (total sent == total received);
-* with a two-level ``node_size``, traffic between ranks in different
-  ``node_size``-blocks is additionally tallied internode.
+* with per-rank node ids (``OracleSpec.nodes``), traffic between ranks
+  on different nodes is additionally tallied internode.
 
 Every oracle returns an :class:`OracleCosts` whose ``signature()``
 matches :meth:`repro.simmpi.trace.TraceReport.counts_signature` and
@@ -41,14 +43,16 @@ and Bruck's all-to-all refuses non-powers-of-two outright.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 from repro.exceptions import ParameterError
 
 __all__ = [
     "OracleSpec",
-    "RankCosts",
     "OracleCosts",
     "ScenarioOracle",
     "oracle_barrier",
@@ -112,21 +116,24 @@ class OracleSpec:
     ``machine`` may be any object carrying ``alpha_t``/``beta_t`` (e.g.
     :class:`repro.core.parameters.MachineParameters`); when None the
     virtual clocks stay at their entry values.
+
+    ``nodes`` holds one node id per rank of the communicator for
+    two-level runs (None: a flat machine). A world of ``node_size``-rank
+    nodes gives rank r the id ``r // node_size``; a sub-communicator's
+    rank i takes the id of its *world* rank.
     """
 
     size: int
     max_message_words: float = math.inf
     machine: object | None = None
-    node_size: int | None = None
+    nodes: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.size < 1:
             raise ParameterError(f"oracle needs size >= 1, got {self.size}")
-        if self.node_size is not None and (
-            self.node_size < 1 or self.size % self.node_size
-        ):
+        if self.nodes is not None and len(self.nodes) != self.size:
             raise ParameterError(
-                f"node_size {self.node_size} must divide size {self.size}"
+                f"need one node id per rank ({self.size}), got {len(self.nodes)}"
             )
 
     def messages(self, words: int) -> int:
@@ -138,67 +145,34 @@ class OracleSpec:
         return int(math.ceil(words / float(self.max_message_words)))
 
     def internode(self, a: int, b: int) -> bool:
-        if self.node_size is None:
-            return False
-        return a // self.node_size != b // self.node_size
-
-
-@dataclass(frozen=True)
-class RankCosts:
-    """One rank's oracle prediction, field-compatible with the
-    corresponding :class:`~repro.simmpi.counters.CounterSnapshot`
-    fields."""
-
-    flops: float = 0.0
-    words_sent: int = 0
-    messages_sent: int = 0
-    words_received: int = 0
-    messages_received: int = 0
-    words_sent_internode: int = 0
-    messages_sent_internode: int = 0
-    words_received_internode: int = 0
-    messages_received_internode: int = 0
-    vtime: float = 0.0
+        return self.nodes is not None and self.nodes[a] != self.nodes[b]
 
 
 @dataclass(frozen=True)
 class OracleCosts:
     """Per-rank oracle predictions for one collective (or a sequence of
-    them, via :meth:`then`)."""
+    them, via :meth:`then`), stored by column and indexed by rank.
 
-    ranks: tuple[RankCosts, ...]
+    ``counts`` holds eight tallies, in the order of the matching
+    :class:`~repro.simmpi.counters.CounterSnapshot` fields: words and
+    messages sent, words and messages received, then the internode
+    share of each. ``vtimes`` holds the virtual clocks. Collectives
+    meter no flops.
+    """
+
+    counts: tuple[tuple[int, ...], ...]
+    vtimes: tuple[float, ...]
 
     @property
     def size(self) -> int:
-        return len(self.ranks)
+        return len(self.vtimes)
 
     def signature(self) -> tuple:
         """Same layout as ``TraceReport.counts_signature()``."""
-        return tuple(
-            (
-                r.flops,
-                r.words_sent,
-                r.messages_sent,
-                r.words_received,
-                r.messages_received,
-            )
-            for r in self.ranks
-        )
-
-    @property
-    def vtimes(self) -> tuple[float, ...]:
-        return tuple(r.vtime for r in self.ranks)
+        return tuple((0.0, *counts) for counts in zip(*self.counts[:4]))
 
     def internode_signature(self) -> tuple:
-        return tuple(
-            (
-                r.words_sent_internode,
-                r.messages_sent_internode,
-                r.words_received_internode,
-                r.messages_received_internode,
-            )
-            for r in self.ranks
-        )
+        return tuple(zip(*self.counts[4:]))
 
     def then(self, other: "OracleCosts") -> "OracleCosts":
         """Sequential composition: counts add; the later stage's clocks
@@ -210,106 +184,101 @@ class OracleCosts:
             )
         return OracleCosts(
             tuple(
-                RankCosts(
-                    flops=a.flops + b.flops,
-                    words_sent=a.words_sent + b.words_sent,
-                    messages_sent=a.messages_sent + b.messages_sent,
-                    words_received=a.words_received + b.words_received,
-                    messages_received=a.messages_received + b.messages_received,
-                    words_sent_internode=a.words_sent_internode
-                    + b.words_sent_internode,
-                    messages_sent_internode=a.messages_sent_internode
-                    + b.messages_sent_internode,
-                    words_received_internode=a.words_received_internode
-                    + b.words_received_internode,
-                    messages_received_internode=a.messages_received_internode
-                    + b.messages_received_internode,
-                    vtime=b.vtime,
-                )
-                for a, b in zip(self.ranks, other.ranks)
-            )
+                tuple(map(operator.add, mine, theirs))
+                for mine, theirs in zip(self.counts, other.counts)
+            ),
+            other.vtimes,
         )
 
 
 class _Tally:
-    """Mutable per-rank accumulator the oracle replays send/recv events
-    into. Independent re-implementation of the metering conventions —
-    shares no code with :mod:`repro.simmpi.counters`."""
+    """The per-rank accumulator every collective oracle replays its
+    communication into.
+
+    :meth:`shift` replays a whole round of a ring, pairwise, Bruck or
+    dissemination exchange, in which every rank sends (numpy across
+    ranks, one Python step per round); :meth:`send` and :meth:`sync`
+    replay one message of a tree or a direct gather or scatter, in
+    which only some ranks talk. ``counts`` holds the eight
+    :class:`OracleCosts` tallies in column order.
+    """
 
     def __init__(self, spec: OracleSpec, entry: Sequence[float] | None = None):
         p = spec.size
         self.spec = spec
-        self.ws = [0] * p
-        self.ms = [0] * p
-        self.wr = [0] * p
-        self.mr = [0] * p
-        self.wsi = [0] * p
-        self.msi = [0] * p
-        self.wri = [0] * p
-        self.mri = [0] * p
-        self.flops = [0.0] * p
+        self.ranks = np.arange(p)
+        self.counts = [np.zeros(p, dtype=np.int64) for _ in range(8)]
+        self.nodes = None if spec.nodes is None else np.asarray(spec.nodes)
         if entry is None:
-            self.t = [0.0] * p
+            self.t = np.zeros(p)
         else:
             if len(entry) != p:
                 raise ParameterError(
                     f"entry vtimes length {len(entry)} != size {p}"
                 )
-            self.t = [float(x) for x in entry]
+            self.t = np.array(entry, dtype=np.float64)
 
-    def cost(self, words: int, msgs: int) -> float:
+    def cost(self, words, msgs):
         m = self.spec.machine
-        if m is None:
-            return 0.0
         # Same operand order as Comm.send, for float bit-identity.
         return m.alpha_t * msgs + m.beta_t * words
 
+    def shift(self, k: int, words) -> None:
+        """One exchange round: every rank r sends ``words[r]`` words to
+        (r + k) mod p, then receives from (r - k) mod p and syncs to
+        that message's departure time."""
+        w = np.asarray(words, dtype=np.int64)
+        mmw = self.spec.max_message_words
+        if math.isinf(mmw):
+            m = np.ones_like(w)
+        else:
+            m = np.maximum(np.ceil(w / mmw).astype(np.int64), 1)
+        left = (self.ranks - k) % self.spec.size  # rank r receives from left[r]
+        ws, ms, wr, mr, wsi, msi, wri, mri = self.counts
+        ws += w
+        ms += m
+        wr += w[left]
+        mr += m[left]
+        if self.nodes is not None:
+            cross = self.nodes != self.nodes[(self.ranks + k) % self.spec.size]
+            wc, mc = w * cross, m * cross
+            wsi += wc
+            msi += mc
+            wri += wc[left]
+            mri += mc[left]
+        if self.spec.machine is not None:
+            dep = self.t + self.cost(w, m)
+            self.t = np.maximum(dep, dep[left])
+
     def send(self, src: int, dst: int, words: int) -> float:
-        """Meter a send on ``src`` and the matching receive tallies on
-        ``dst``; advance the sender's clock and return the departure
+        """Meter one message on ``src`` and the matching receive tallies
+        on ``dst``; advance the sender's clock and return the departure
         time. The *receiver's* clock sync is the caller's job (it
         happens at the receiver's program point, via :meth:`sync`)."""
         msgs = self.spec.messages(words)
-        inter = self.spec.internode(src, dst)
-        self.ws[src] += words
-        self.ms[src] += msgs
-        self.wr[dst] += words
-        self.mr[dst] += msgs
-        if inter:
-            self.wsi[src] += words
-            self.msi[src] += msgs
-            self.wri[dst] += words
-            self.mri[dst] += msgs
-        self.t[src] += self.cost(words, msgs)
+        ws, ms, wr, mr, wsi, msi, wri, mri = self.counts
+        ws[src] += words
+        ms[src] += msgs
+        wr[dst] += words
+        mr[dst] += msgs
+        if self.spec.internode(src, dst):
+            wsi[src] += words
+            msi[src] += msgs
+            wri[dst] += words
+            mri[dst] += msgs
+        if self.spec.machine is not None:
+            self.t[src] += self.cost(words, msgs)
         return self.t[src]
 
     def sync(self, rank: int, departure: float) -> None:
         if departure > self.t[rank]:
             self.t[rank] = departure
 
-    def add_flops(self, rank: int, count: float) -> None:
-        self.flops[rank] += count
-        m = self.spec.machine
-        if m is not None:
-            self.t[rank] += m.gamma_t * count
-
     def finish(self) -> OracleCosts:
+        # tolist() hands back plain ints and floats: ledger JSON and the
+        # sweep cache's byte-identity depend on it.
         return OracleCosts(
-            tuple(
-                RankCosts(
-                    flops=self.flops[r],
-                    words_sent=self.ws[r],
-                    messages_sent=self.ms[r],
-                    words_received=self.wr[r],
-                    messages_received=self.mr[r],
-                    words_sent_internode=self.wsi[r],
-                    messages_sent_internode=self.msi[r],
-                    words_received_internode=self.wri[r],
-                    messages_received_internode=self.mri[r],
-                    vtime=self.t[r],
-                )
-                for r in range(self.spec.size)
-            )
+            tuple(tuple(c.tolist()) for c in self.counts), tuple(self.t.tolist())
         )
 
 
@@ -327,6 +296,27 @@ def _uniform(words, size: int) -> list[int]:
     return out
 
 
+def _blocks(words, size: int) -> np.ndarray:
+    """A ``words[src][dst]`` block-words matrix from an int (uniform
+    blocks) or a size x size nested sequence."""
+    if isinstance(words, int):
+        return np.full((size, size), words, dtype=np.int64)
+    w = np.array(words, dtype=np.int64)
+    if w.shape != (size, size):
+        raise ParameterError(f"need a {size}x{size} block-words matrix")
+    return w
+
+
+def _ring_chunks(total_words: int, size: int) -> np.ndarray:
+    """Words per (round, rank) of the ring reduce-scatter: in round s
+    (1-based) rank r ships ``array_split`` chunk (r - s + 1) mod p.
+    Rows 0..p-2 are the ring rounds; row p-1 is the ownership-rotation
+    hop, in which rank r ships its reduced chunk (r + 1) mod p."""
+    sizes = np.array(chunk_sizes(total_words, size), dtype=np.int64)
+    idx = np.arange(size)
+    return np.stack([sizes[(idx - s + 1) % size] for s in range(1, size + 1)])
+
+
 # ----------------------------------------------------------------------
 # collective oracles
 # ----------------------------------------------------------------------
@@ -337,13 +327,10 @@ def oracle_barrier(spec: OracleSpec, entry=None) -> OracleCosts:
     sends 0 words to (r + 2^j) mod p and waits on (r - 2^j) mod p."""
     p = spec.size
     tally = _Tally(spec, entry)
-    if p == 1:
-        return tally.finish()
+    zero = np.zeros(p, dtype=np.int64)
     step = 1
     while step < p:
-        deps = [tally.send(r, (r + step) % p, 0) for r in range(p)]
-        for r in range(p):
-            tally.sync(r, deps[(r - step) % p])
+        tally.shift(step, zero)
         step <<= 1
     return tally.finish()
 
@@ -355,8 +342,6 @@ def oracle_bcast(spec: OracleSpec, words: int, root: int = 0, entry=None) -> Ora
     p = spec.size
     _check_root(root, p)
     tally = _Tally(spec, entry)
-    if p == 1:
-        return tally.finish()
 
     def world(v: int) -> int:
         return (v + root) % p
@@ -370,28 +355,28 @@ def oracle_bcast(spec: OracleSpec, words: int, root: int = 0, entry=None) -> Ora
     return tally.finish()
 
 
-def oracle_reduce(spec: OracleSpec, words: int, root: int = 0, entry=None) -> OracleCosts:
+def oracle_reduce(spec: OracleSpec, words, root: int = 0, entry=None) -> OracleCosts:
     """Binomial folding-tree reduction: virtual rank v sends its
-    accumulator (``words`` words) at its lowest set bit and is done;
-    below that bit it receives from v + 2^j when that exists. The
-    built-in sum op meters no flops."""
+    accumulator at its lowest set bit and is done; below that bit it
+    receives from v + 2^j when that exists. ``words`` is an int (every
+    accumulator the same size) or one count per rank, the size of that
+    rank's accumulator when it sends (the root's entry is unused) — a
+    reduction can grow it on the way up. The built-in sum op meters no
+    flops."""
     p = spec.size
     _check_root(root, p)
+    w = _uniform(words, p)
     tally = _Tally(spec, entry)
-    if p == 1:
-        return tally.finish()
 
     def world(v: int) -> int:
         return (v + root) % p
 
     mask = 1
     while mask < p:
-        for v in range(p):
-            if v & (mask - 1):
-                continue  # already sent in an earlier round
-            if v & mask:
-                dep = tally.send(world(v), world(v - mask), words)
-                tally.sync(world(v - mask), dep)
+        # the senders: virtual ranks whose lowest set bit is ``mask``
+        for v in range(mask, p, mask << 1):
+            dep = tally.send(world(v), world(v - mask), w[world(v)])
+            tally.sync(world(v - mask), dep)
         mask <<= 1
     return tally.finish()
 
@@ -414,8 +399,6 @@ def oracle_allreduce_recursive_doubling(
     sends, then receives — both directions ``words`` words)."""
     p = spec.size
     tally = _Tally(spec, entry)
-    if p == 1:
-        return tally.finish()
     k = 1
     while k * 2 <= p:
         k *= 2
@@ -440,26 +423,22 @@ def oracle_allreduce_recursive_doubling(
     return tally.finish()
 
 
-def oracle_reduce_scatter(
-    spec: OracleSpec, total_words: int, entry=None
-) -> OracleCosts:
-    """Ring reduce-scatter of a ``total_words``-element array: p-1
-    rounds each shipping one ``array_split`` chunk to the right
-    neighbor, plus one ownership-rotation hop — S = p sends per rank.
-    In round s rank r sends chunk (r - s + 1) mod p and receives chunk
-    (r - s) mod p; the rotation ships chunk (r + 1) mod p."""
+def oracle_reduce_scatter(spec: OracleSpec, words, entry=None) -> OracleCosts:
+    """Ring reduce-scatter: p-1 rounds each shipping one chunk to the
+    right neighbor, plus one ownership-rotation hop — S = p sends per
+    rank. In round s rank r sends chunk (r - s + 1) mod p and receives
+    chunk (r - s) mod p; the rotation ships chunk (r + 1) mod p.
+    ``words`` is the total length of the array (chunked by
+    ``array_split``) or a p x p matrix ``words[round][rank]`` of the
+    chunk sizes actually shipped, for reductions that broadcast
+    mismatched chunks."""
     p = spec.size
     tally = _Tally(spec, entry)
     if p == 1:
         return tally.finish()
-    sizes = chunk_sizes(total_words, p)
-    for s in range(1, p):
-        deps = [tally.send(r, (r + 1) % p, sizes[(r - s + 1) % p]) for r in range(p)]
-        for r in range(p):
-            tally.sync(r, deps[(r - 1) % p])
-    deps = [tally.send(r, (r + 1) % p, sizes[(r + 1) % p]) for r in range(p)]
-    for r in range(p):
-        tally.sync(r, deps[(r - 1) % p])
+    rounds = _ring_chunks(words, p) if isinstance(words, int) else _blocks(words, p)
+    for row in rounds:
+        tally.shift(1, row)
     return tally.finish()
 
 
@@ -475,14 +454,12 @@ def oracle_reduce_scatter_gather(
     tally = _Tally(spec, entry)
     if p == 1:
         return tally.finish()
-    sizes = chunk_sizes(total_words, p)
-    for s in range(1, p):
-        deps = [tally.send(r, (r + 1) % p, sizes[(r - s + 1) % p]) for r in range(p)]
-        for r in range(p):
-            tally.sync(r, deps[(r - 1) % p])
+    rounds = _ring_chunks(total_words, p)
+    for row in rounds[:-1]:
+        tally.shift(1, row)
     for r in range(p):
         if r != root:
-            dep = tally.send(r, root, 1 + sizes[(r + 1) % p])
+            dep = tally.send(r, root, 1 + int(rounds[-1][r]))
             tally.sync(root, dep)
     return tally.finish()
 
@@ -492,12 +469,10 @@ def oracle_allgather(spec: OracleSpec, words, entry=None) -> OracleCosts:
     blocks or a per-rank list): p-1 rounds, in round s rank r forwards
     block (r - s) mod p and receives block (r - s - 1) mod p."""
     p = spec.size
-    w = _uniform(words, p)
+    w = np.array(_uniform(words, p), dtype=np.int64)
     tally = _Tally(spec, entry)
     for s in range(p - 1):
-        deps = [tally.send(r, (r + 1) % p, w[(r - s) % p]) for r in range(p)]
-        for r in range(p):
-            tally.sync(r, deps[(r - 1) % p])
+        tally.shift(1, np.roll(w, s))
     return tally.finish()
 
 
@@ -534,41 +509,38 @@ def oracle_alltoall(spec: OracleSpec, words, entry=None) -> OracleCosts:
     """Cyclic pairwise all-to-all: p-1 rounds, in round k rank r sends
     its block for (r + k) mod p and receives from (r - k) mod p. The
     rank's own block never touches the network. ``words`` is an int
-    (uniform blocks) or a p x p nested list ``words[src][dst]``."""
+    (uniform blocks) or a p x p matrix ``words[src][dst]``."""
     p = spec.size
-    if isinstance(words, int):
-        w = [[words] * p for _ in range(p)]
-    else:
-        w = [list(row) for row in words]
-        if len(w) != p or any(len(row) != p for row in w):
-            raise ParameterError(f"need a {p}x{p} block-words matrix")
+    w = _blocks(words, p)
+    idx = np.arange(p)
     tally = _Tally(spec, entry)
     for k in range(1, p):
-        deps = [tally.send(r, (r + k) % p, w[r][(r + k) % p]) for r in range(p)]
-        for r in range(p):
-            tally.sync(r, deps[(r - k) % p])
+        tally.shift(k, w[idx, (idx + k) % p])
     return tally.finish()
 
 
-def oracle_alltoall_bruck(spec: OracleSpec, block_words: int, entry=None) -> OracleCosts:
-    """Bruck all-to-all of uniform ``block_words``-word blocks: log2 p
-    rounds; in the round with mask 2^j every rank ships the p/2 blocks
-    whose relative-destination index has bit j set — one message of
-    (p/2) * block_words words to (r + 2^j) mod p. Requires p = 2^j."""
+def oracle_alltoall_bruck(spec: OracleSpec, words, entry=None) -> OracleCosts:
+    """Bruck all-to-all: log2 p rounds; in the round with mask 2^j every
+    rank ships the p/2 blocks whose relative-destination index has bit
+    j set, as one message to (r + 2^j) mod p — (p/2) * words words for
+    uniform ``words``-word blocks. ``words`` is an int or a p x p
+    matrix ``words[src][dst]``; a shipped block rides along in later
+    rounds, so its words move with it. Requires p = 2^j."""
     p = spec.size
     if p & (p - 1):
         raise ParameterError(
             f"alltoall_bruck requires a power-of-two size, got {p}"
         )
+    idx = np.arange(p)
+    # slot j on rank r holds the block for relative destination j
+    slots = _blocks(words, p)[idx[:, None], (idx[:, None] + idx) % p]
     tally = _Tally(spec, entry)
-    if p == 1:
-        return tally.finish()
-    per_round = (p // 2) * block_words
     mask = 1
     while mask < p:
-        deps = [tally.send(r, (r + mask) % p, per_round) for r in range(p)]
-        for r in range(p):
-            tally.sync(r, deps[(r - mask) % p])
+        ship = (idx & mask) != 0
+        tally.shift(mask, slots[:, ship].sum(axis=1))
+        # Shipped slots now hold whatever the left-by-mask rank had.
+        slots[:, ship] = np.roll(slots[:, ship], mask, axis=0)
         mask <<= 1
     return tally.finish()
 

@@ -38,9 +38,10 @@ Reduction operators receive ``(accumulator, incoming)`` and must return
 the combined value; the built-in :func:`sum_op` adds ndarrays and
 scalars without metering flops — reduction arithmetic is free in the
 model, matching the paper's cost table (communication only). The
-closed forms in this table are re-derived independently by
-:mod:`repro.conformance.oracles` and checked cell-by-cell by the
-``repro conformance`` differential harness.
+closed forms in this table live in :mod:`repro.conformance.oracles`,
+which also prices the fast path; the message path below meters its own
+envelopes, and the ``repro conformance`` differential harness checks
+it against those oracles cell by cell.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ is needed; snapshots taken after the SPMD run has joined are safe. The
 one deliberate exception is the collective fast path
 (:mod:`repro.simmpi.fastpath`): the leader rank of a gated collective
 calls :meth:`CostCounter.apply_bulk` on every participant's counter
-while those ranks are parked inside the gate, with the gate's event as
-the synchronization point — still race-free, just not owner-thread.
+while those ranks are parked inside the gate, with the gate's rendezvous
+as the synchronization point — still race-free, just not owner-thread.
 """
 
 from __future__ import annotations
@@ -162,26 +162,27 @@ class CostCounter:
 
     def apply_bulk(
         self,
-        *,
-        words_sent: int = 0,
-        messages_sent: int = 0,
-        words_received: int = 0,
-        messages_received: int = 0,
-        words_sent_internode: int = 0,
-        messages_sent_internode: int = 0,
-        words_received_internode: int = 0,
-        messages_received_internode: int = 0,
-        vtime: float | None = None,
+        words_sent: int,
+        messages_sent: int,
+        words_received: int,
+        messages_received: int,
+        words_sent_internode: int,
+        messages_sent_internode: int,
+        words_received_internode: int,
+        messages_received_internode: int,
+        vtime: float,
     ) -> None:
-        """Apply a whole collective's worth of increments at once.
+        """Land a whole collective's worth of increments at once.
 
-        Used by the fast path (:mod:`repro.simmpi.fastpath`) to land the
-        analytically computed totals of one collective in a single call
-        per rank, instead of one :meth:`add_send`/:meth:`add_recv` pair
-        per envelope. ``vtime`` is the rank's *absolute* virtual-clock
-        value after the collective (clocks only move forward). The
-        recovery mirror is untouched: fault plans disable the fast path,
-        so bulk applies never happen inside a recovery scope.
+        The fast path (:mod:`repro.simmpi.fastpath`) prices a gated
+        collective with its closed-form oracle and lands each rank's
+        column of the :class:`~repro.conformance.oracles.OracleCosts`
+        here, in one call per rank: the eight word/message tallies are
+        added, and ``vtime`` is the rank's *absolute* virtual-clock
+        value after the collective (clocks only move forward). The flop
+        tally and the recovery mirror are untouched: the built-in
+        reductions meter no flops, and fault plans disable the fast
+        path, so bulk applies never happen inside a recovery scope.
         """
         if min(
             words_sent,
@@ -194,6 +195,11 @@ class CostCounter:
             messages_received_internode,
         ) < 0:
             raise ParameterError("bulk tallies must be >= 0")
+        if vtime < self.vtime:
+            raise ParameterError(
+                f"bulk vtime {vtime!r} would move rank {self.rank}'s "
+                f"clock backwards from {self.vtime!r}"
+            )
         self.words_sent += words_sent
         self.messages_sent += messages_sent
         self.words_received += words_received
@@ -202,13 +208,7 @@ class CostCounter:
         self.messages_sent_internode += messages_sent_internode
         self.words_received_internode += words_received_internode
         self.messages_received_internode += messages_received_internode
-        if vtime is not None:
-            if vtime < self.vtime:
-                raise ParameterError(
-                    f"bulk vtime {vtime!r} would move rank {self.rank}'s "
-                    f"clock backwards from {self.vtime!r}"
-                )
-            self.vtime = vtime
+        self.vtime = vtime
 
     # -- memory high-water tracking (opt-in per algorithm) -------------
 

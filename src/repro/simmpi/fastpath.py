@@ -1,4 +1,4 @@
-"""Analytic fast path for collectives — O(1) rendezvous, closed-form meters.
+"""Analytic fast path for collectives — O(1) rendezvous, oracle-priced costs.
 
 The message path in :mod:`repro.simmpi.collectives` simulates every
 collective faithfully: a p-rank broadcast moves p-1 envelopes through
@@ -7,21 +7,27 @@ per-hop metering under the GIL. Those envelopes exist only to produce
 three observable effects — per-rank counter increments, per-rank
 virtual-clock advances, and delivered payloads. When nothing is
 watching the individual messages (no tracing, no metrics, no fault
-plan, no custom reduce op), all three can be computed *analytically*
-from the same recurrences the binomial/ring/Bruck algorithms induce,
-without any envelope ever crossing a mailbox.
+plan, no custom reduce op), the counts and clocks follow from the
+collective's closed-form cost recurrence, and only the payloads need
+routing — without any envelope ever crossing a mailbox.
 
 Mechanics: all ranks of the communicator meet at a
 :class:`CollectiveGate` (one per communicator context, owned by the
 :class:`~repro.simmpi.world.World`). The last rank to arrive becomes
-the *leader*: it resolves the whole collective once — validates the
-call, walks the algorithm's communication pattern in closed form,
-bulk-applies every rank's counter increments and final virtual-clock
-value (safe because all other ranks are parked in the gate), and
-publishes the per-rank results. Everyone wakes, picks up its result,
-and continues. Cost per collective: one rendezvous plus O(edges)
-arithmetic in a single thread, instead of O(edges) cross-thread
-envelope deliveries.
+the *leader* and resolves the whole collective once. It validates the
+call (raising the message path's exact errors), routes the payloads
+(one freeze or copy per block, built-in reductions in the tree's or
+ring's association order), and prices the call with the collective's
+oracle in :mod:`repro.conformance.oracles`, entered at every rank's
+current virtual clock. It lands each rank's column of the returned
+:class:`~repro.conformance.oracles.OracleCosts` with
+:meth:`~repro.simmpi.counters.CostCounter.apply_bulk` (safe because all
+other ranks are parked in the gate) and publishes the per-rank results.
+Everyone wakes, picks up its result, and continues. Cost per
+collective: one rendezvous plus the oracle's arithmetic in a single
+thread, instead of O(edges) cross-thread envelope deliveries. The
+recurrence itself is written only in the oracles; this module holds no
+metering code.
 
 Equivalence contract (enforced by ``benchmarks/bench_regress.py``'s
 ``regress_fastpath`` gate and ``tests/test_fastpath.py``): for every
@@ -50,7 +56,6 @@ message path, unchanged.
 
 from __future__ import annotations
 
-import math
 import threading
 from time import monotonic
 from typing import Any, Sequence
@@ -58,12 +63,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.exceptions import CommunicatorError, DeadlockError, SimulationError
-from repro.simmpi.payload import (
-    copy_payload,
-    freeze_payload,
-    message_count,
-    payload_words,
-)
+from repro.simmpi.payload import copy_payload, freeze_payload, payload_words
 
 __all__ = ["CollectiveGate", "run_collective", "resolve"]
 
@@ -239,74 +239,36 @@ def run_collective(comm, name: str, args: tuple) -> Any:
 
 
 class _Ctx:
-    """Per-resolution view of the world restricted to one rank group."""
+    """Per-resolution view of the world restricted to one rank group,
+    with the cost oracle of the collective being resolved."""
 
-    __slots__ = ("world", "group", "p", "machine", "mmw", "cow", "counters", "two_level")
+    __slots__ = ("group", "p", "cow", "counters", "spec", "oracle")
 
-    def __init__(self, world, group: tuple):
-        self.world = world
+    def __init__(self, world, group: tuple, name: str):
+        from repro.conformance import oracles
+
         self.group = group
         self.p = len(group)
-        self.machine = world.machine
-        self.mmw = world.max_message_words
         self.cow = world.copy_on_write
         self.counters = [world.counters[w] for w in group]
-        self.two_level = world.node_size is not None
+        ns = world.node_size
+        self.spec = oracles.OracleSpec(
+            self.p,
+            max_message_words=world.max_message_words,
+            machine=world.machine,
+            nodes=None if ns is None else tuple(w // ns for w in group),
+        )
+        self.oracle = oracles.COLLECTIVE_ORACLES[name]
 
-    def internode(self, a_local: int, b_local: int) -> bool:
-        if not self.two_level:
-            return False
-        return not self.world.same_node(self.group[a_local], self.group[b_local])
-
-    def entry_vtimes(self) -> np.ndarray | None:
-        if self.machine is None:
-            return None
-        return np.array([c.vtime for c in self.counters], dtype=np.float64)
-
-
-class _Meter:
-    """Accumulates per-rank tallies, then bulk-applies them."""
-
-    __slots__ = ("ctx", "ws", "ms", "wr", "mr", "wsi", "msi", "wri", "mri")
-
-    def __init__(self, ctx: _Ctx):
-        p = ctx.p
-        self.ctx = ctx
-        self.ws = np.zeros(p, dtype=np.int64)
-        self.ms = np.zeros(p, dtype=np.int64)
-        self.wr = np.zeros(p, dtype=np.int64)
-        self.mr = np.zeros(p, dtype=np.int64)
-        self.wsi = np.zeros(p, dtype=np.int64)
-        self.msi = np.zeros(p, dtype=np.int64)
-        self.wri = np.zeros(p, dtype=np.int64)
-        self.mri = np.zeros(p, dtype=np.int64)
-
-    def edge(self, src: int, dst: int, words: int, msgs: int) -> None:
-        """Meter one logical message src -> dst (local ranks)."""
-        self.ws[src] += words
-        self.ms[src] += msgs
-        self.wr[dst] += words
-        self.mr[dst] += msgs
-        if self.ctx.internode(src, dst):
-            self.wsi[src] += words
-            self.msi[src] += msgs
-            self.wri[dst] += words
-            self.mri[dst] += msgs
-
-    def apply(self, vtimes: np.ndarray | Sequence[float] | None) -> None:
-        counters = self.ctx.counters
-        for i in range(self.ctx.p):
-            counters[i].apply_bulk(
-                words_sent=int(self.ws[i]),
-                messages_sent=int(self.ms[i]),
-                words_received=int(self.wr[i]),
-                messages_received=int(self.mr[i]),
-                words_sent_internode=int(self.wsi[i]),
-                messages_sent_internode=int(self.msi[i]),
-                words_received_internode=int(self.wri[i]),
-                messages_received_internode=int(self.mri[i]),
-                vtime=None if vtimes is None else float(vtimes[i]),
-            )
+    def price(self, *args, **kwargs) -> None:
+        """Price the collective with its oracle, entered at every rank's
+        current virtual clock, and land each rank's costs on its
+        counter (safe: every other participant is parked in the gate)."""
+        costs = self.oracle(
+            self.spec, *args, entry=[c.vtime for c in self.counters], **kwargs
+        )
+        for counter, *rank in zip(self.counters, *costs.counts, costs.vtimes):
+            counter.apply_bulk(*rank)
 
 
 def _pack(ctx: _Ctx, obj: Any):
@@ -324,22 +286,6 @@ def _deliver(ctx: _Ctx, fp, obj: Any) -> Any:
     if ctx.cow:
         return fp.view()
     return copy_payload(obj)
-
-
-def _cost(machine, words: int, msgs: int) -> float:
-    # Mirrors Comm.send exactly: alpha_t * msgs + beta_t * words, in
-    # this operand order, so float rounding matches bit for bit.
-    return machine.alpha_t * msgs + machine.beta_t * words
-
-
-def _cost_vec(machine, words: np.ndarray, msgs: np.ndarray) -> np.ndarray:
-    return machine.alpha_t * msgs + machine.beta_t * words
-
-
-def _mc_vec(words: np.ndarray, mmw: float) -> np.ndarray:
-    if math.isinf(mmw):
-        return np.ones_like(words)
-    return np.maximum(np.ceil(words / mmw).astype(np.int64), 1)
 
 
 def _all_err(p: int, exc: BaseException) -> list:
@@ -387,60 +333,22 @@ def _check_common_root(ctx: _Ctx, argslist: list, root_index: int):
     return root, None
 
 
-# -- per-collective resolvers -------------------------------------------
+# -- per-collective resolvers: validate, route payloads, price ----------
 
 
 def _resolve_barrier(ctx: _Ctx, argslist: list) -> list:
-    p = ctx.p
-    meter = _Meter(ctx)
-    t = ctx.entry_vtimes()
-    machine = ctx.machine
-    m = message_count(0, ctx.mmw)
-    step = 1
-    while step < p:
-        for r in range(p):
-            meter.edge(r, (r + step) % p, 0, m)
-        if machine is not None:
-            # send: dep = t + cost; recv from (r-step)%p: max(dep_r, dep_src)
-            dep = t + _cost(machine, 0, m)
-            t = np.maximum(dep, np.roll(dep, step))
-        step <<= 1
-    meter.apply(t)
-    return [None] * p
+    ctx.price()
+    return [None] * ctx.p
 
 
 def _resolve_bcast(ctx: _Ctx, argslist: list) -> list:
-    p = ctx.p
     root, err = _check_common_root(ctx, argslist, 1)
     if err is not None:
         return err
     obj = argslist[root][0]
     fp, w = _pack(ctx, obj)
-    m = message_count(w, ctx.mmw)
-    meter = _Meter(ctx)
-    machine = ctx.machine
-    # t indexed by vrank (local rank of vrank v is (v + root) % p).
-    t = None
-    if machine is not None:
-        t = [ctx.counters[(v + root) % p].vtime for v in range(p)]
-        cost = _cost(machine, w, m)
-    mask = 1
-    while mask < p:
-        for me in range(min(mask, p - mask)):
-            peer = me + mask
-            meter.edge((me + root) % p, (peer + root) % p, w, m)
-            if machine is not None:
-                t[me] += cost
-                if t[me] > t[peer]:
-                    t[peer] = t[me]
-        mask <<= 1
-    vt = None
-    if machine is not None:
-        vt = [0.0] * p
-        for v in range(p):
-            vt[(v + root) % p] = t[v]
-    meter.apply(vt)
-    return [_deliver(ctx, fp, obj) for _ in range(p)]
+    ctx.price(w, root=root)
+    return [_deliver(ctx, fp, obj) for _ in range(ctx.p)]
 
 
 def _resolve_reduce(ctx: _Ctx, argslist: list) -> list:
@@ -449,36 +357,22 @@ def _resolve_reduce(ctx: _Ctx, argslist: list) -> list:
     if err is not None:
         return err
     op = argslist[root][1]
-    # Accumulators in vrank order, starting from each rank's private copy.
+    # Accumulators in vrank order, starting from each rank's private
+    # copy, combined in the binomial tree's exact association order.
     accs: list = [copy_payload(argslist[(v + root) % p][0]) for v in range(p)]
-    meter = _Meter(ctx)
-    machine = ctx.machine
-    t = None
-    if machine is not None:
-        t = [ctx.counters[(v + root) % p].vtime for v in range(p)]
+    words = [0] * p  # per rank: its accumulator's size when it sends
     mask = 1
     while mask < p:
         for me in range(0, p - mask, mask << 1):
             s = me + mask
-            w = payload_words(accs[s])
-            m = message_count(w, ctx.mmw)
-            meter.edge((s + root) % p, (me + root) % p, w, m)
-            if machine is not None:
-                t[s] += _cost(machine, w, m)
-                if t[s] > t[me]:
-                    t[me] = t[s]
+            words[(s + root) % p] = payload_words(accs[s])
             try:
                 accs[me] = op(accs[me], accs[s])
             except Exception as exc:
                 return _partial_err(ctx, {(me + root) % p: exc})
             accs[s] = None  # that rank has exited the tree
         mask <<= 1
-    vt = None
-    if machine is not None:
-        vt = [0.0] * p
-        for v in range(p):
-            vt[(v + root) % p] = t[v]
-    meter.apply(vt)
+    ctx.price(words, root=root)
     out: list = [None] * p
     out[root] = accs[0]
     return out
@@ -500,19 +394,10 @@ def _resolve_reduce_scatter(ctx: _Ctx, argslist: list) -> list:
         [np.array(c, copy=True) for c in np.array_split(args[0].ravel(), p)]
         for args in argslist
     ]
-    meter = _Meter(ctx)
-    machine = ctx.machine
-    t = ctx.entry_vtimes()
+    words = np.empty((p, p), dtype=np.int64)  # [round, rank] chunk sizes
     for s in range(1, p):
-        send_at = [(r - s + 1) % p for r in range(p)]
-        sent = [accs[r][send_at[r]] for r in range(p)]
-        w = np.array([a.size for a in sent], dtype=np.int64)
-        m = _mc_vec(w, ctx.mmw)
-        for r in range(p):
-            meter.edge(r, (r + 1) % p, int(w[r]), int(m[r]))
-        if machine is not None:
-            dep = t + _cost_vec(machine, w, m)
-            t = np.maximum(dep, np.roll(dep, 1))
+        sent = [accs[r][(r - s + 1) % p] for r in range(p)]
+        words[s - 1] = [a.size for a in sent]
         for r in range(p):
             recv_idx = (r - s) % p
             try:
@@ -521,14 +406,8 @@ def _resolve_reduce_scatter(ctx: _Ctx, argslist: list) -> list:
                 return _partial_err(ctx, {r: exc})
     # Ownership rotation: rank r ships its reduced chunk (r+1)%p right.
     owned = [accs[r][(r + 1) % p] for r in range(p)]
-    w = np.array([a.size for a in owned], dtype=np.int64)
-    m = _mc_vec(w, ctx.mmw)
-    for r in range(p):
-        meter.edge(r, (r + 1) % p, int(w[r]), int(m[r]))
-    if machine is not None:
-        dep = t + _cost_vec(machine, w, m)
-        t = np.maximum(dep, np.roll(dep, 1))
-    meter.apply(t)
+    words[p - 1] = [a.size for a in owned]
+    ctx.price(words)
     out: list = []
     for r in range(p):
         chunk = owned[(r - 1) % p]
@@ -538,63 +417,21 @@ def _resolve_reduce_scatter(ctx: _Ctx, argslist: list) -> list:
 
 
 def _resolve_allgather(ctx: _Ctx, argslist: list) -> list:
-    p = ctx.p
     packs = [_pack(ctx, args[0]) for args in argslist]
-    w = np.array([words for _fp, words in packs], dtype=np.int64)
-    m = _mc_vec(w, ctx.mmw)
-    meter = _Meter(ctx)
-    total_w, total_m = int(w.sum()), int(m.sum())
-    for r in range(p):
-        # Rank r forwards every block except origin (r+1)%p to its right
-        # neighbor, and receives every block except its own from the left.
-        nxt = (r + 1) % p
-        ws, ms = total_w - int(w[nxt]), total_m - int(m[nxt])
-        wr, mr = total_w - int(w[r]), total_m - int(m[r])
-        meter.ws[r] += ws
-        meter.ms[r] += ms
-        meter.wr[r] += wr
-        meter.mr[r] += mr
-        if ctx.internode(r, nxt):
-            meter.wsi[r] += ws
-            meter.msi[r] += ms
-        if ctx.internode((r - 1) % p, r):
-            meter.wri[r] += wr
-            meter.mri[r] += mr
-    t = ctx.entry_vtimes()
-    if ctx.machine is not None:
-        for s in range(p - 1):
-            w_send = np.roll(w, s)  # rank r ships origin (r-s)%p at step s
-            m_send = np.roll(m, s)
-            dep = t + _cost_vec(ctx.machine, w_send, m_send)
-            t = np.maximum(dep, np.roll(dep, 1))
-    meter.apply(t)
+    ctx.price([w for _fp, w in packs])
     return [
         [_deliver(ctx, fp, argslist[o][0]) for o, (fp, _w) in enumerate(packs)]
-        for _ in range(p)
+        for _ in range(ctx.p)
     ]
 
 
 def _resolve_gather(ctx: _Ctx, argslist: list) -> list:
-    p = ctx.p
     root, err = _check_common_root(ctx, argslist, 1)
     if err is not None:
         return err
     packs = [_pack(ctx, args[0]) for args in argslist]
-    meter = _Meter(ctx)
-    machine = ctx.machine
-    t = ctx.entry_vtimes()
-    for r in range(p):
-        if r == root:
-            continue
-        _fp, w = packs[r]
-        m = message_count(w, ctx.mmw)
-        meter.edge(r, root, w, m)
-        if machine is not None:
-            t[r] += _cost(machine, w, m)
-            if t[r] > t[root]:
-                t[root] = t[r]
-    meter.apply(t)
-    out: list = [None] * p
+    ctx.price([w for _fp, w in packs], root=root)
+    out: list = [None] * ctx.p
     out[root] = [_deliver(ctx, fp, argslist[r][0]) for r, (fp, _w) in enumerate(packs)]
     return out
 
@@ -616,62 +453,25 @@ def _resolve_scatter(ctx: _Ctx, argslist: list) -> list:
             },
         )
     packs = [_pack(ctx, objs[r]) for r in range(p)]
-    meter = _Meter(ctx)
-    machine = ctx.machine
-    t = ctx.entry_vtimes()
-    for r in range(p):
-        if r == root:
-            continue
-        _fp, w = packs[r]
-        m = message_count(w, ctx.mmw)
-        meter.edge(root, r, w, m)
-        if machine is not None:
-            # Root's sends are sequential in ascending r; each receiver
-            # syncs to the departure time of its own message.
-            t[root] += _cost(machine, w, m)
-            if t[root] > t[r]:
-                t[r] = t[root]
-    meter.apply(t)
+    ctx.price([w for _fp, w in packs], root=root)
     return [_deliver(ctx, packs[r][0], objs[r]) for r in range(p)]
 
 
-def _resolve_alltoall(ctx: _Ctx, argslist: list) -> list:
+def _resolve_alltoall(ctx: _Ctx, argslist: list, name: str = "alltoall") -> list:
     p = ctx.p
     bad = {
         i: CommunicatorError(
-            f"alltoall needs one block per rank ({p}), got {len(args[0])}"
+            f"{name} needs one block per rank ({p}), got {len(args[0])}"
         )
         for i, args in enumerate(argslist)
         if len(args[0]) != p
     }
     if bad:
         return _partial_err(ctx, bad)
-    packs = [[_pack(ctx, args[0][d]) for d in range(p)] for args in argslist]
-    w = np.array([[words for _fp, words in row] for row in packs], dtype=np.int64)
-    m = _mc_vec(w, ctx.mmw)
-    meter = _Meter(ctx)
-    idx = np.arange(p)
-    off = np.eye(p, dtype=bool)  # own block never crosses the network
-    meter.ws += np.where(off, 0, w).sum(axis=1)
-    meter.ms += np.where(off, 0, m).sum(axis=1)
-    meter.wr += np.where(off, 0, w).sum(axis=0)
-    meter.mr += np.where(off, 0, m).sum(axis=0)
-    if ctx.two_level:
-        nodes = np.array(
-            [ctx.group[r] // ctx.world.node_size for r in range(p)], dtype=np.int64
-        )
-        inter = nodes[:, None] != nodes[None, :]
-        meter.wsi += np.where(inter, w, 0).sum(axis=1)
-        meter.msi += np.where(inter, m, 0).sum(axis=1)
-        meter.wri += np.where(inter, w, 0).sum(axis=0)
-        meter.mri += np.where(inter, m, 0).sum(axis=0)
-    t = ctx.entry_vtimes()
-    if ctx.machine is not None:
-        for k in range(1, p):
-            dest = (idx + k) % p
-            dep = t + _cost_vec(ctx.machine, w[idx, dest], m[idx, dest])
-            t = np.maximum(dep, np.roll(dep, k))
-    meter.apply(t)
+    # Every block is frozen once: a Bruck block's log p re-shippings
+    # all adopt the same buffer.
+    packs = [[_pack(ctx, block) for block in args[0]] for args in argslist]
+    ctx.price([[w for _fp, w in row] for row in packs])
     return [
         [_deliver(ctx, packs[src][r][0], argslist[src][0][r]) for src in range(p)]
         for r in range(p)
@@ -679,53 +479,14 @@ def _resolve_alltoall(ctx: _Ctx, argslist: list) -> list:
 
 
 def _resolve_alltoall_bruck(ctx: _Ctx, argslist: list) -> list:
-    p = ctx.p
-    if p & (p - 1):
+    if ctx.p & (ctx.p - 1):
         return _all_err(
             ctx.p,
             CommunicatorError(
-                f"alltoall_bruck requires a power-of-two size, got {p}"
+                f"alltoall_bruck requires a power-of-two size, got {ctx.p}"
             ),
         )
-    bad = {
-        i: CommunicatorError(
-            f"alltoall_bruck needs one block per rank ({p}), got {len(args[0])}"
-        )
-        for i, args in enumerate(argslist)
-        if len(args[0]) != p
-    }
-    if bad:
-        return _partial_err(ctx, bad)
-    # Phase-1 rotation: slot j on rank r holds the block for relative
-    # destination j, frozen once (the log p re-shippings all adopt it).
-    packs = [
-        [_pack(ctx, argslist[r][0][(r + j) % p]) for j in range(p)] for r in range(p)
-    ]
-    W = np.array([[words for _fp, words in row] for row in packs], dtype=np.int64)
-    meter = _Meter(ctx)
-    t = ctx.entry_vtimes()
-    mask = 1
-    while mask < p:
-        ship = [j for j in range(p) if j & mask]
-        sent_w = W[:, ship].sum(axis=1)
-        sent_m = _mc_vec(sent_w, ctx.mmw)
-        for r in range(p):
-            meter.edge(r, (r + mask) % p, int(sent_w[r]), int(sent_m[r]))
-        if ctx.machine is not None:
-            dep = t + _cost_vec(ctx.machine, sent_w, sent_m)
-            t = np.maximum(dep, np.roll(dep, mask))
-        # Shipped slots now hold whatever the left-by-mask rank had.
-        W[:, ship] = np.roll(W[:, ship], mask, axis=0)
-        mask <<= 1
-    meter.apply(t)
-    # Block from src destined to r sits in packs[src][(r - src) % p].
-    return [
-        [
-            _deliver(ctx, packs[src][(r - src) % p][0], argslist[src][0][r])
-            for src in range(p)
-        ]
-        for r in range(p)
-    ]
+    return _resolve_alltoall(ctx, argslist, "alltoall_bruck")
 
 
 _RESOLVERS = {
@@ -759,8 +520,8 @@ def resolve(world, group: tuple, inputs: list) -> list:
                 f"{sorted(names)!r} on the same communicator"
             ),
         )
-    ctx = _Ctx(world, group)
+    name = inputs[0][0]
     try:
-        return _RESOLVERS[inputs[0][0]](ctx, [args for _name, args in inputs])
+        return _RESOLVERS[name](_Ctx(world, group, name), [args for _n, args in inputs])
     except BaseException as exc:  # noqa: BLE001 - delivered to every rank
         return _all_err(p, exc)

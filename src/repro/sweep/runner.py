@@ -148,11 +148,12 @@ def cell_oracle(cell: Cell):
     kind = cell.params.get("payload", "array")
     root = int(cell.params.get("root", cell.p - 1))
     kwargs = cell.run_kwargs()
+    ns = kwargs["node_size"]
     spec = _o.OracleSpec(
         cell.p,
         max_message_words=kwargs["max_message_words"],
         machine=cell_machine(cell),
-        node_size=kwargs["node_size"],
+        nodes=None if ns is None else tuple(r // ns for r in range(cell.p)),
     )
     _builder, bw = _payload(kind, words)
     if op == "barrier":

@@ -200,6 +200,28 @@ class TestDiffer:
         assert "replay_cell" in first.reproducer
         assert "FIRST DIVERGENCE" in report.summary()
 
+    def test_wrong_shared_recurrence_is_caught(self, monkeypatch):
+        # The fast path prices collectives with the oracles, so a wrong
+        # recurrence in the one tally moves both: the fastpath cells
+        # leave the message baseline, and the baseline leaves the oracle.
+        from repro.conformance.oracles import _Tally
+
+        send, shift = _Tally.send, _Tally.shift
+        monkeypatch.setattr(
+            _Tally, "send", lambda t, src, dst, w: send(t, src, dst, w + 1)
+        )
+        monkeypatch.setattr(
+            _Tally, "shift", lambda t, k, w: shift(t, k, np.add(w, 1))
+        )
+        cases = [c for c in smoke_cases() if c.size == 4][:6]
+        report = run_grid(cases, grid="smoke", fail_limit=10**6)
+        caught = {(d.variant, d.reference) for d in report.divergences}
+        assert (BASELINE_VARIANT, "oracle") in caught
+        fast_cells = {v for v, ref in caught if ref == BASELINE_VARIANT}
+        assert {v for v in fast_cells if v.startswith("fastpath+")} == {
+            v for v, _ in VARIANTS if v.startswith("fastpath+")
+        }
+
     def test_perturbation_is_scoped(self):
         from repro.simmpi.counters import CostCounter
 

@@ -17,7 +17,9 @@ import pytest
 ROOT = pathlib.Path(__file__).parent.parent
 
 #: Package roots that resolve their public names on first use.
-LAZY_PACKAGES = ("repro", "repro.core", "repro.observatory", "repro.sweep")
+LAZY_PACKAGES = (
+    "repro", "repro.conformance", "repro.core", "repro.observatory", "repro.sweep"
+)
 
 
 def read(name: str) -> str:
@@ -84,6 +86,7 @@ class TestPublicApiImports:
     def test_subpackage_alls_importable(self):
         import repro.algorithms
         import repro.analysis
+        import repro.conformance
         import repro.core
         import repro.machines
         import repro.observatory
@@ -100,6 +103,7 @@ class TestPublicApiImports:
             repro.sequential,
             repro.observatory,
             repro.sweep,
+            repro.conformance,
         ):
             for name in mod.__all__:
                 assert hasattr(mod, name), f"{mod.__name__}.{name}"

@@ -168,9 +168,15 @@ class TestEquivalenceMatrix:
             a = comm.bcast(None if comm.rank else 0.5, root=0)
             b = comm.allgather(None)
             c = comm.gather("word" * comm.rank, root=0)
-            return (a, tuple(b), None if c is None else tuple(c))
+            # sum_op concatenates lists, so the accumulator grows at every
+            # tree level; a scalar meeting an array broadcasts to it.
+            d = comm.reduce([1.0, 2.0, 3.0], root=comm.size - 1)
+            e = comm.allreduce([float(comm.rank)])
+            f = comm.reduce(1.0 if comm.rank % 2 else np.arange(3.0), root=0)
+            return (a, tuple(b), None if c is None else tuple(c), d, e, f)
 
-        _compare_runs(4, program)
+        for size in (4, 6, 7):
+            _compare_runs(size, program, max_message_words=2.0)
 
 
 class TestFallbacks:

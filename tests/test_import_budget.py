@@ -73,3 +73,13 @@ def test_warm_sweep_run_loads_only_what_it_runs(src_env, tmp_path):
     assert warm["failed"] == 0 and warm["hits"] == warm["cells"] == cold["cells"]
     loaded = {pkg: _under(modules, pkg) for pkg in WARM_SWEEP_FORBIDDEN}
     assert {pkg: mods for pkg, mods in loaded.items() if mods} == {}
+
+
+def test_fast_path_loads_the_oracles_but_not_the_differ(src_env):
+    # The gate prices collectives with conformance.oracles, imported on
+    # its first resolve; the lazy package root keeps the differ out.
+    modules, _ = _loaded_modules(
+        src_env, "import repro.simmpi\nrepro.simmpi.run_spmd(4, lambda c: c.barrier())\n"
+    )
+    assert "repro.conformance.oracles" in modules
+    assert _under(modules, "repro.conformance.differ") == []
