@@ -37,12 +37,17 @@ that verify the constraints are tight):
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from repro.core.parameters import MachineParameters
 from repro.exceptions import InfeasibleError, ParameterError
 
 __all__ = ["OptimalRun", "NBodyOptimizer"]
+
+
+#: sqrt(p) at or above this squares past the largest finite float.
+_SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -184,6 +189,10 @@ class NBodyOptimizer:
         If t_max admits an M0 run, returns (M0, p chosen minimal such
         that T <= t_max). Otherwise runs at the 2D limit M = n/sqrt(p)
         with the paper's p_min quadratic.
+
+        Raises :class:`~repro.exceptions.InfeasibleError` when that
+        quadratic has no usable float answer: a subnormal deadline, or
+        a p_min root that overflows or vanishes.
         """
         if n <= 0 or t_max <= 0:
             raise ParameterError("n and t_max must be > 0")
@@ -199,10 +208,20 @@ class NBodyOptimizer:
                 p=p, M=M0, time=self.time(n, p, M0), energy=self.energy(n, M0)
             )
         # 2D limit: p_min = ((bt n)/(2 Tmax) + sqrt(bt^2 n^2 + 4 Tmax gt f n^2)/(2 Tmax))^2
+        if not t_max >= sys.float_info.min:
+            raise InfeasibleError(
+                f"deadline t_max={t_max!r} s is subnormal: the p_min quadratic "
+                "has no float-precision solution"
+            )
         gt_f = g.gamma_t * self.f
         sqrt_p = (bt * n + math.sqrt(bt**2 * n**2 + 4.0 * t_max * gt_f * n**2)) / (
             2.0 * t_max
         )
+        if not 0.0 < sqrt_p < _SQRT_FLOAT_MAX:
+            raise InfeasibleError(
+                f"deadline t_max={t_max!r} s needs a p_min root sqrt(p)={sqrt_p!r} "
+                "whose square is not a finite positive float"
+            )
         p = sqrt_p**2
         M = n / math.sqrt(p)
         return OptimalRun(p=p, M=M, time=self.time(n, p, M), energy=self.energy(n, M))

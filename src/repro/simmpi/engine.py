@@ -15,17 +15,21 @@ workloads are NumPy-bound (GIL released inside BLAS), and determinism
 of the *counts* is guaranteed by the algorithms' fixed communication
 patterns, not by scheduling order.
 
-``run_spmd`` spawns fresh threads per call; for repeated runs (sweeps,
-benchmarks) use :class:`~repro.simmpi.pool.SpmdPool`, which keeps the
-worker threads alive and shares this module's failure handling.
+Both executors — ``run_spmd`` and
+:meth:`~repro.simmpi.pool.SpmdPool.run`, which keeps worker threads
+alive across runs — drive one :class:`_Run`: it builds the
+:class:`~repro.simmpi.world.World`, runs each rank's body, waits for
+the join and builds the result. They differ only in where the rank
+threads come from.
 """
 
 from __future__ import annotations
 
-import math
+import inspect
 import threading
 from dataclasses import dataclass
 from time import monotonic as _monotonic
+from time import perf_counter
 from typing import Any, Callable
 
 from repro.exceptions import DeadlockError, RankCrashedError, RankFailedError
@@ -34,6 +38,11 @@ from repro.simmpi.trace import TraceReport
 from repro.simmpi.world import World
 
 __all__ = ["run_spmd", "SpmdResult"]
+
+#: The run options both executors take by keyword and hand to
+#: :class:`~repro.simmpi.world.World` — every ``World`` parameter but
+#: ``size``; any other keyword goes to the program.
+WORLD_OPTIONS = tuple(inspect.signature(World).parameters)[1:]
 
 
 @dataclass(frozen=True)
@@ -74,8 +83,7 @@ def _join_budget(timeout: float) -> float:
 
 
 def _join_timeout_message(stuck: list[int], timeout: float) -> str:
-    """The join watchdog's verdict, shared by :func:`run_spmd` and
-    :class:`~repro.simmpi.pool.SpmdPool`."""
+    """The join watchdog's verdict on the ranks still running."""
     return (
         f"rank thread(s) {stuck} did not finish within the "
         f"{_join_budget(timeout):.1f}s join budget (2*timeout+1, "
@@ -94,9 +102,6 @@ def _finalize(
     wall_seconds: float = 0.0,
 ) -> SpmdResult:
     """Convert joined-run state into an SpmdResult or RankFailedError.
-
-    Shared by :func:`run_spmd` and :class:`~repro.simmpi.pool.SpmdPool`
-    so both substrates report failures and build traces identically.
 
     ``crashes`` holds injected :class:`~repro.exceptions.RankCrashedError`
     unwinds. Alone they are *survivable* — the run succeeds with
@@ -138,94 +143,121 @@ def _finalize(
     return result
 
 
-def run_spmd(
-    size: int,
-    program: Callable[..., Any],
-    *args: Any,
-    max_message_words: float = math.inf,
-    timeout: float = 60.0,
-    machine: Any = None,
-    node_size: int | None = None,
-    payload_mode: str = "cow",
-    trace: bool = False,
-    trace_capacity: int | None = None,
-    metrics: bool = False,
-    faults: Any = None,
-    fastpath: bool = True,
-    record: Any = None,
-    **kwargs: Any,
-) -> SpmdResult:
-    """Run ``program(comm, *args, **kwargs)`` on ``size`` simulated ranks.
+class _Latch:
+    """Countdown latch: ``wait()`` returns once ``count_down()`` has been
+    called ``n`` times."""
 
-    Parameters
-    ----------
-    size:
-        Number of ranks.
-    program:
-        The SPMD body. Receives a :class:`~repro.simmpi.comm.Comm` as its
-        first argument; its return value is collected per rank.
-    max_message_words:
-        The model's m: payloads are metered as ceil(words/m) messages.
-    timeout:
-        Deadlock watchdog — seconds a receive may block.
-    machine:
-        Optional :class:`~repro.core.parameters.MachineParameters`; when
-        given, per-rank virtual clocks advance by the Eq. (1) cost of
-        each operation and honor message dependencies, and the report's
-        :meth:`~repro.simmpi.trace.TraceReport.simulated_time` returns
-        the critical-path finish time.
-    node_size:
-        Optional two-level grouping (Fig. 2): consecutive blocks of
-        ``node_size`` ranks form a node, and traffic crossing node
-        boundaries is tallied separately (see
-        :meth:`~repro.simmpi.trace.TraceReport.twolevel_counts`).
-    payload_mode:
-        ``"cow"`` (default) for copy-on-write payload transport or
-        ``"copy"`` for the legacy deep-copy-per-hop transport; counts
-        are identical, only physical copy traffic differs (see
-        :mod:`repro.simmpi.payload`).
-    trace:
-        Record per-rank structured event logs (sends, receives,
-        collective spans, kernel spans) for the
-        :mod:`repro.analysis.timeline` analyses; the result's
-        ``event_logs`` / :meth:`SpmdResult.timeline` expose them.
-        Counts are bit-identical traced or not; the untraced default
-        pays only one ``is None`` test per operation.
-    trace_capacity:
-        Per-rank event ring size (default
-        :data:`~repro.simmpi.events.DEFAULT_TRACE_CAPACITY`); overflow
-        drops the oldest events.
-    metrics:
-        Record runtime metrics (message-size / collective-fan-out /
-        mailbox-depth histograms, send totals, trace-ring health) into
-        per-rank registries merged onto ``SpmdResult.metrics``. Counts
-        and virtual clocks are bit-identical metered or not; the
-        unmetered default pays only one ``is None`` test per operation.
-    faults:
-        Optional :class:`~repro.simmpi.faults.FaultPlan` of deterministic
-        injected failures (rank crashes, message drops/duplicates/delays,
-        transient slowdowns). A rank unwound by its injected crash is
-        *isolated*, not fatal: it is marked dead (receives from it raise
-        :class:`~repro.exceptions.PeerDeadError`), and if every other
-        rank completes, the run succeeds with ``SpmdResult.crashed``
-        naming the victims. Counts and virtual clocks are bit-identical
-        with ``faults=None`` versus an empty plan.
-    fastpath:
-        When True (default), eligible collectives (default algorithm,
-        built-in reduce op, no tracing/metrics/faults) resolve
-        analytically instead of simulating every envelope — identical
-        counts, virtual clocks and payloads at a fraction of the
-        wall-clock cost (see :mod:`repro.simmpi.fastpath`). Pass False
-        to force the faithful message path everywhere.
-    record:
-        Optional run-ledger hook (a
-        :class:`~repro.observatory.ledger.RunRecorder`, a bare
-        :class:`~repro.observatory.ledger.Ledger`, or a callable
-        receiving the built :class:`~repro.observatory.ledger.RunRecord`).
-        Invoked once after a *successful* join with the finished result
-        and the run's wall-clock seconds; counts and per-rank virtual
-        clocks are bit-identical with the hook on or off (the hook runs
-        strictly post-join).
+    __slots__ = ("_remaining", "_cond")
+
+    def __init__(self, n: int):
+        self._remaining = n
+        self._cond = threading.Condition()
+
+    def count_down(self) -> None:
+        with self._cond:
+            self._remaining -= 1
+            if self._remaining <= 0:
+                self._cond.notify_all()
+
+    def wait(self, timeout: float) -> bool:
+        """Block until the count reaches zero or ``timeout`` seconds pass
+        (absolute deadline — spurious wake-ups do not extend it); returns
+        whether it reached zero."""
+        deadline = _monotonic() + timeout
+        with self._cond:
+            while self._remaining > 0:
+                remaining = deadline - _monotonic()
+                if remaining <= 0:
+                    return False
+                self._cond.wait(remaining)
+            return True
+
+
+class _Run:
+    """One SPMD run, whichever executor's threads carry its ranks.
+
+    Splits the :data:`WORLD_OPTIONS` out of ``kwargs`` (the rest go to
+    the program), builds the :class:`~repro.simmpi.world.World` once,
+    and owns the per-rank results, failures and injected crashes until
+    :meth:`finish` turns them into the outcome.
+    """
+
+    def __init__(self, size: int, program: Callable[..., Any], args: tuple, kwargs: dict):
+        options = {k: kwargs.pop(k) for k in WORLD_OPTIONS if k in kwargs}
+        self.world = World(size, **options)
+        self.wall_start = _monotonic()
+        self.program = program
+        self.args = args
+        self.kwargs = kwargs
+        self.results: list[Any] = [None] * size
+        self.failures: dict[int, BaseException] = {}
+        self.crashes: dict[int, BaseException] = {}
+        self.lock = threading.Lock()
+        self.done = [False] * size
+        self.latch = _Latch(size)
+
+    def rank(self, rank: int, usage=None) -> None:
+        """Run ``rank``'s program on the calling thread and book its
+        outcome. ``usage`` is a metered pool worker's (jobs,
+        busy-seconds) counter pair; it is charged before the rank counts
+        down, so it is current once the run has joined."""
+        start = perf_counter()
+        comm = Comm(self.world, group=range(self.world.size), rank=rank)
+        try:
+            self.results[rank] = self.program(comm, *self.args, **self.kwargs)
+        except RankCrashedError as exc:
+            # Injected crash: isolate the rank instead of failing the
+            # world, so resilient survivors can detect it and recover.
+            with self.lock:
+                self.crashes[rank] = exc
+            self.world.mark_dead(rank)
+        except BaseException as exc:  # noqa: BLE001 - reported to caller
+            with self.lock:
+                self.failures[rank] = exc
+            self.world.abort()
+        finally:
+            self.done[rank] = True
+            if usage is not None:
+                usage[0].value += 1.0
+                usage[1].value += perf_counter() - start
+            self.latch.count_down()
+
+    def stuck(self) -> list[int]:
+        """Wait for every rank; return the ranks that never finished.
+
+        The mailbox deadlock timeout only covers ranks blocked in a
+        receive. A rank wedged *outside* one (a user-code infinite loop)
+        would hang a bare wait forever, so the wait is bounded by the
+        join budget (``2*timeout + 1``). Past it the world is aborted,
+        ranks blocked on the stuck ones get one second to unwind, and
+        whoever is still running is returned (empty when the run joined).
+        """
+        if self.latch.wait(_join_budget(self.world.timeout)):
+            return []
+        self.world.abort()
+        self.latch.wait(1.0)
+        return [r for r, done in enumerate(self.done) if not done]
+
+    def finish(self) -> SpmdResult:
+        """The joined run's result (see :func:`_finalize`)."""
+        return _finalize(
+            self.world,
+            self.results,
+            self.failures,
+            self.crashes,
+            wall_seconds=_monotonic() - self.wall_start,
+        )
+
+
+def run_spmd(size: int, program: Callable[..., Any], *args: Any, **kwargs: Any) -> SpmdResult:
+    """Run ``program(comm, *args, **kwargs)`` on ``size`` simulated ranks,
+    one fresh daemon thread each.
+
+    ``program`` receives a :class:`~repro.simmpi.comm.Comm` as its first
+    argument; its return value is collected per rank. Keywords named in
+    :data:`WORLD_OPTIONS` — every :class:`~repro.simmpi.world.World`
+    parameter but ``size`` — configure the run as documented there;
+    every other keyword goes to the program.
 
     Raises
     ------
@@ -236,61 +268,14 @@ def run_spmd(
         wedged outside a receive (e.g. a user-code infinite loop), or a
         program that needs longer than ``2*timeout + 1`` seconds.
     """
-    world = World(
-        size,
-        max_message_words=max_message_words,
-        timeout=timeout,
-        machine=machine,
-        node_size=node_size,
-        payload_mode=payload_mode,
-        trace=trace,
-        trace_capacity=trace_capacity,
-        metrics=metrics,
-        faults=faults,
-        fastpath=fastpath,
-        record=record,
-    )
-    wall_start = _monotonic()
-    results: list[Any] = [None] * size
-    failures: dict[int, BaseException] = {}
-    crashes: dict[int, BaseException] = {}
-    failures_lock = threading.Lock()
-
-    def runner(rank: int) -> None:
-        comm = Comm(world, group=range(size), rank=rank)
-        try:
-            results[rank] = program(comm, *args, **kwargs)
-        except RankCrashedError as exc:
-            # Injected crash: isolate the rank instead of failing the
-            # world, so resilient survivors can detect it and recover.
-            with failures_lock:
-                crashes[rank] = exc
-            world.mark_dead(rank)
-        except BaseException as exc:  # noqa: BLE001 - reported to caller
-            with failures_lock:
-                failures[rank] = exc
-            world.abort()
-
+    run = _Run(size, program, args, kwargs)
     threads = [
-        threading.Thread(target=runner, args=(r,), name=f"simmpi-rank-{r}", daemon=True)
+        threading.Thread(target=run.rank, args=(r,), name=f"simmpi-rank-{r}", daemon=True)
         for r in range(size)
     ]
     for t in threads:
         t.start()
-    # Join watchdog: the mailbox deadlock timeout only covers ranks
-    # blocked in a receive. A rank wedged *outside* one (user-code
-    # infinite loop) would hang a bare join forever, so bound the total
-    # join time consistently with ``timeout=``.
-    deadline = _monotonic() + _join_budget(world.timeout)
-    stuck = []
-    for r, t in enumerate(threads):
-        t.join(max(0.0, deadline - _monotonic()))
-        if t.is_alive():
-            stuck.append(r)
+    stuck = run.stuck()
     if stuck:
-        world.abort()  # unblock anything still waiting on the stuck ranks
-        raise DeadlockError(_join_timeout_message(stuck, world.timeout))
-
-    return _finalize(
-        world, results, failures, crashes, wall_seconds=_monotonic() - wall_start
-    )
+        raise DeadlockError(_join_timeout_message(stuck, run.world.timeout))
+    return run.finish()

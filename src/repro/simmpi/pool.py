@@ -5,15 +5,15 @@ threads on every call. That is fine for a single run but dominates
 wall-clock time for sweeps and benchmarks that execute hundreds of
 small simulations (a validation sweep at p = 256 pays 256 spawns+joins
 *per data point*). :class:`SpmdPool` keeps a set of daemon worker
-threads alive across runs: each :meth:`SpmdPool.run` call dispatches
-the program to the first ``size`` workers through per-worker queues and
-waits on a countdown latch, so steady-state cost per run is one queue
-put/get per rank instead of a thread spawn/join.
+threads alive across runs: each :meth:`SpmdPool.run` call hands the
+run to the first ``size`` workers through per-worker queues, so
+steady-state cost per run is one queue put/get per rank instead of a
+thread spawn/join.
 
-Semantics are identical to ``run_spmd`` — same ``World`` construction,
-same failure handling (shared via :func:`~repro.simmpi.engine._finalize`),
-same :class:`~repro.simmpi.engine.SpmdResult` — and the counts are
-bit-identical because the substrate never touches metering.
+Everything else — ``World`` construction, the rank body, failure
+handling, the join watchdog and the :class:`~repro.simmpi.engine.SpmdResult`
+— is the engine's shared :class:`~repro.simmpi.engine._Run`, so
+results, counts and failures are identical to ``run_spmd``'s.
 
 Usage::
 
@@ -32,54 +32,15 @@ object through their call stacks.
 
 from __future__ import annotations
 
-import math
 import os
 import queue
 import threading
-import time
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
-from repro.exceptions import DeadlockError, RankCrashedError
-from repro.simmpi.comm import Comm
-from repro.simmpi.engine import (
-    SpmdResult,
-    _finalize,
-    _join_budget,
-    _join_timeout_message,
-)
-from repro.simmpi.world import World
+from repro.exceptions import DeadlockError
+from repro.simmpi.engine import SpmdResult, _join_timeout_message, _Run
 
 __all__ = ["SpmdPool", "shared_pool"]
-
-
-class _Latch:
-    """Countdown latch: ``wait()`` returns once ``count_down()`` has been
-    called ``n`` times."""
-
-    __slots__ = ("_remaining", "_cond")
-
-    def __init__(self, n: int):
-        self._remaining = n
-        self._cond = threading.Condition()
-
-    def count_down(self) -> None:
-        with self._cond:
-            self._remaining -= 1
-            if self._remaining <= 0:
-                self._cond.notify_all()
-
-    def wait(self, timeout: float | None = None) -> bool:
-        """Block until the count reaches zero; with a ``timeout``, give
-        up after that many seconds and return False (absolute deadline —
-        spurious wake-ups do not extend it)."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            while self._remaining > 0:
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    return False
-                self._cond.wait(timeout=remaining)
-            return True
 
 
 class SpmdPool:
@@ -158,137 +119,15 @@ class SpmdPool:
             t.join()
 
     def _grow(self, target: int) -> None:
+        self._start_workers(range(len(self._threads), target))
+
+    def _start_workers(self, indices: Iterable[int]) -> None:
+        """Start a fresh worker at each index: a new slot past the end,
+        or a replacement for a worker wedged in user code (that daemon is
+        abandoned; its old queue is orphaned so nothing new reaches it)."""
         with self._state_lock:
             if self._closed:
                 raise RuntimeError("SpmdPool is shut down")
-            while len(self._threads) < target:
-                idx = len(self._threads)
-                q: queue.SimpleQueue = queue.SimpleQueue()
-                usage = None
-                if self._metrics is not None:
-                    labels = {"worker": str(idx)}
-                    usage = (
-                        self._metrics.counter(
-                            "simmpi_pool_jobs_total",
-                            labels=labels,
-                            help="Rank jobs executed per pool worker.",
-                        ),
-                        self._metrics.counter(
-                            "simmpi_pool_busy_seconds_total",
-                            labels=labels,
-                            help="Wall-clock seconds per worker spent running rank jobs.",
-                        ),
-                    )
-                t = threading.Thread(
-                    target=_worker_loop,
-                    args=(q, usage),
-                    name=f"simmpi-pool-{idx}",
-                    daemon=True,
-                )
-                self._queues.append(q)
-                self._threads.append(t)
-                t.start()
-            if self._workers_gauge is not None:
-                self._workers_gauge.set(len(self._threads))
-
-    # -- execution -------------------------------------------------------
-
-    def run(
-        self,
-        size: int,
-        program: Callable[..., Any],
-        *args: Any,
-        max_message_words: float = math.inf,
-        timeout: float = 60.0,
-        machine: Any = None,
-        node_size: int | None = None,
-        payload_mode: str = "cow",
-        trace: bool = False,
-        trace_capacity: int | None = None,
-        metrics: bool = False,
-        faults: Any = None,
-        fastpath: bool = True,
-        record: Any = None,
-        **kwargs: Any,
-    ) -> SpmdResult:
-        """Run ``program(comm, *args, **kwargs)`` on ``size`` pooled ranks.
-
-        Drop-in equivalent of :func:`~repro.simmpi.engine.run_spmd` —
-        identical signature, results, trace counts, and failure
-        behavior (including ``trace=``/``trace_capacity=`` event
-        tracing, ``metrics=`` run metrics, ``faults=`` injection, the
-        ``fastpath=`` analytic-collective toggle and the ``record=``
-        run-ledger hook) —
-        minus the per-call thread spawn/join. Like ``run_spmd``'s join
-        watchdog, a rank that has not finished after ``2*timeout + 1``
-        seconds (wedged outside a receive, or still running) raises
-        :class:`~repro.exceptions.DeadlockError` naming the stuck ranks;
-        their workers are replaced so the pool stays usable.
-        """
-        world = World(
-            size,
-            max_message_words=max_message_words,
-            timeout=timeout,
-            machine=machine,
-            node_size=node_size,
-            payload_mode=payload_mode,
-            trace=trace,
-            trace_capacity=trace_capacity,
-            metrics=metrics,
-            faults=faults,
-            fastpath=fastpath,
-            record=record,
-        )
-        wall_start = time.monotonic()
-        results: list[Any] = [None] * size
-        failures: dict[int, BaseException] = {}
-        crashes: dict[int, BaseException] = {}
-        failures_lock = threading.Lock()
-
-        with self._run_lock:
-            self._grow(size)
-            latch = _Latch(size)
-            job = _Job(
-                world=world,
-                program=program,
-                args=args,
-                kwargs=kwargs,
-                results=results,
-                failures=failures,
-                crashes=crashes,
-                failures_lock=failures_lock,
-                latch=latch,
-                done=[False] * size,
-            )
-            for rank in range(size):
-                self._queues[rank].put((rank, job))
-            if not latch.wait(_join_budget(world.timeout)):
-                world.abort()  # unblock anything waiting on the stuck ranks
-                # Give aborted ranks a moment to unwind, then replace the
-                # workers still wedged in user code so the pool survives.
-                latch.wait(1.0)
-                stuck = [r for r in range(size) if not job.done[r]]
-                self._replace_workers(stuck)
-                raise DeadlockError(
-                    _join_timeout_message(stuck, world.timeout)
-                    + " (the stuck pool workers were replaced)"
-                )
-
-        return _finalize(
-            world,
-            results,
-            failures,
-            crashes,
-            wall_seconds=time.monotonic() - wall_start,
-        )
-
-    def _replace_workers(self, indices: list[int]) -> None:
-        """Stand up fresh workers at ``indices``, abandoning the wedged
-        threads (daemons blocked in user code; their old queues are
-        orphaned so nothing new ever reaches them)."""
-        with self._state_lock:
-            if self._closed:
-                return
             for idx in indices:
                 q: queue.SimpleQueue = queue.SimpleQueue()
                 usage = None
@@ -312,61 +151,50 @@ class SpmdPool:
                     name=f"simmpi-pool-{idx}",
                     daemon=True,
                 )
-                self._queues[idx] = q
-                self._threads[idx] = t
+                if idx < len(self._threads):
+                    self._queues[idx], self._threads[idx] = q, t
+                else:
+                    self._queues.append(q)
+                    self._threads.append(t)
                 t.start()
+            if self._workers_gauge is not None:
+                self._workers_gauge.set(len(self._threads))
 
+    # -- execution -------------------------------------------------------
 
-class _Job:
-    """One SPMD run's shared state, handed to each participating worker."""
+    def run(
+        self, size: int, program: Callable[..., Any], *args: Any, **kwargs: Any
+    ) -> SpmdResult:
+        """Run ``program(comm, *args, **kwargs)`` on ``size`` pooled ranks.
 
-    __slots__ = (
-        "world",
-        "program",
-        "args",
-        "kwargs",
-        "results",
-        "failures",
-        "crashes",
-        "failures_lock",
-        "latch",
-        "done",
-    )
-
-    def __init__(self, **fields: Any):
-        for name, value in fields.items():
-            setattr(self, name, value)
+        Drop-in equivalent of :func:`~repro.simmpi.engine.run_spmd` —
+        the same keywords, results, trace counts and failure behavior —
+        minus the per-call thread spawn/join. A rank still running past
+        the join budget raises the same
+        :class:`~repro.exceptions.DeadlockError`, and its worker is
+        replaced so the pool stays usable.
+        """
+        run = _Run(size, program, args, kwargs)
+        with self._run_lock:
+            self._grow(size)
+            for rank in range(size):
+                self._queues[rank].put((rank, run))
+            stuck = run.stuck()
+            if stuck:
+                self._start_workers(stuck)
+                raise DeadlockError(
+                    _join_timeout_message(stuck, run.world.timeout)
+                    + " (the stuck pool workers were replaced)"
+                )
+        return run.finish()
 
 
 def _worker_loop(q: queue.SimpleQueue, usage=None) -> None:
     # ``usage`` is this worker's (jobs counter, busy-seconds counter)
     # pair when the pool meters utilization, else None. Both instruments
-    # are private to this thread, so bare attribute adds are safe.
-    while True:
-        item = q.get()
-        if item is None:
-            return
-        rank, job = item
-        start = time.perf_counter() if usage is not None else 0.0
-        comm = Comm(job.world, group=range(job.world.size), rank=rank)
-        try:
-            job.results[rank] = job.program(comm, *job.args, **job.kwargs)
-        except RankCrashedError as exc:
-            # Injected crash: isolate the rank instead of failing the
-            # world (mirrors run_spmd's runner).
-            with job.failures_lock:
-                job.crashes[rank] = exc
-            job.world.mark_dead(rank)
-        except BaseException as exc:  # noqa: BLE001 - reported to caller
-            with job.failures_lock:
-                job.failures[rank] = exc
-            job.world.abort()
-        finally:
-            job.done[rank] = True
-            if usage is not None:
-                usage[0].value += 1.0
-                usage[1].value += time.perf_counter() - start
-            job.latch.count_down()
+    # are private to this thread, so the rank body's bare adds are safe.
+    for rank, run in iter(q.get, None):
+        run.rank(rank, usage)
 
 
 _shared_pool: SpmdPool | None = None

@@ -1,10 +1,14 @@
 """Shared state of one simulated machine run.
 
 A :class:`World` owns the mailboxes, cost counters and configuration
-shared by all ranks of an SPMD execution. It is created by
-:func:`repro.simmpi.engine.run_spmd` (or by
-:meth:`repro.simmpi.pool.SpmdPool.run`) and never touched by user code
-directly — algorithms see only their :class:`~repro.simmpi.comm.Comm`.
+shared by all ranks of an SPMD execution. It is created once per run by
+the engine's shared run object, for :func:`repro.simmpi.engine.run_spmd`
+and :meth:`repro.simmpi.pool.SpmdPool.run` alike, and never touched by
+user code directly — algorithms see only their
+:class:`~repro.simmpi.comm.Comm`. Its parameters are the executors' run
+options: both take them by keyword (see
+:data:`repro.simmpi.engine.WORLD_OPTIONS`), and this class is where
+they are declared and documented.
 """
 
 from __future__ import annotations
@@ -34,7 +38,9 @@ class World:
         messages. Defaults to unbounded (every send is one message).
     timeout:
         Seconds a blocking receive may wait before the deadlock watchdog
-        fires.
+        fires. The executors' join watchdog gives every rank
+        ``2*timeout + 1`` seconds to finish (see
+        :func:`~repro.simmpi.engine.run_spmd`).
     machine:
         Optional :class:`~repro.core.parameters.MachineParameters`. When
         given, each rank carries a virtual clock advanced by the Eq. (1)
@@ -43,7 +49,8 @@ class World:
     node_size:
         Optional two-level grouping (Fig. 2): consecutive blocks of
         ``node_size`` ranks form a node; traffic crossing node
-        boundaries is tallied separately.
+        boundaries is tallied separately (see
+        :meth:`~repro.simmpi.trace.TraceReport.twolevel_counts`).
     payload_mode:
         ``"cow"`` (default) — copy-on-write transport: payloads are
         frozen once at the first send and shared read-only by relays and
@@ -54,11 +61,14 @@ class World:
         When True, every rank records structured events (sends,
         receives, collective spans, kernel spans, alloc/release) into a
         per-rank :class:`~repro.simmpi.events.EventLog` for the
-        :mod:`repro.analysis.timeline` analyses. Off by default — the
-        untraced path pays only one ``is None`` test per operation.
+        :mod:`repro.analysis.timeline` analyses, exposed as
+        ``SpmdResult.event_logs`` / ``SpmdResult.timeline()``. Off by
+        default — the untraced path pays only one ``is None`` test per
+        operation, and counts are bit-identical traced or not.
     trace_capacity:
-        Per-rank event ring capacity; older events are overwritten once
-        it is exceeded (counted in ``CounterSnapshot.events_dropped``).
+        Per-rank event ring capacity (default
+        :data:`~repro.simmpi.events.DEFAULT_TRACE_CAPACITY`); older
+        events are overwritten once it is exceeded (counted in ``CounterSnapshot.events_dropped``).
     metrics:
         When True, every rank records runtime metrics (message-size,
         collective fan-out and mailbox-depth distributions, send
@@ -74,7 +84,11 @@ class World:
         delays and transient slowdowns fire at the planned operation and
         message indices. None (default) — the disabled path pays only
         one ``is None`` test per operation, and counts and virtual
-        clocks are bit-identical either way.
+        clocks are bit-identical either way. A rank unwound by its
+        injected crash is *isolated*, not fatal: it is marked dead
+        (receives from it raise :class:`~repro.exceptions.PeerDeadError`),
+        and if every other rank completes, the run succeeds with
+        ``SpmdResult.crashed`` naming the victims.
     fastpath:
         When True (default), collectives called with their default
         algorithm and built-in reduce op resolve analytically through a
@@ -89,11 +103,12 @@ class World:
         Optional run-ledger hook — a
         :class:`~repro.observatory.ledger.RunRecorder` (or bare
         :class:`~repro.observatory.ledger.Ledger`, or a callable
-        receiving the built record). Consulted exactly once, *after*
-        the run has joined successfully, so it can never perturb
-        counts or virtual clocks; the None default path costs one
-        ``is None`` test per run (not per operation). It never forces
-        the message path — recording composes freely with
+        receiving the built record). Consulted exactly once, strictly
+        *after* the run has joined successfully, with the finished
+        result and the run's wall-clock seconds, so it can never
+        perturb counts or virtual clocks; the None default path costs
+        one ``is None`` test per run (not per operation). It never
+        forces the message path — recording composes freely with
         ``fastpath``.
     """
 

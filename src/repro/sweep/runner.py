@@ -19,9 +19,8 @@ differences against.
 
 from __future__ import annotations
 
-import math
 import time
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -179,34 +178,22 @@ def cell_oracle(cell: Cell):
     return _o.oracle_alltoall_bruck(spec, 3)
 
 
-def execute_cell(cell: Cell, use_pool: bool = True) -> RunRecord:
+def execute_cell(cell: Cell) -> RunRecord:
     """Simulate one cell and return its RunRecord (not ledger-appended —
     the single-writer funnel owns all ledger and cache writes).
 
-    ``use_pool=True`` runs through the process-local
-    :func:`~repro.simmpi.pool.shared_pool` (reuses rank threads across
-    the cells a worker executes); ``use_pool=False`` runs through a
-    fresh :func:`~repro.simmpi.run_spmd` engine. Conformance certifies
-    the two paths bit-identical, and the fuzz suite re-checks it here.
+    Runs through the process-local
+    :func:`~repro.simmpi.pool.shared_pool`, which reuses rank threads
+    across the cells a worker executes.
     """
+    from repro.simmpi.pool import shared_pool
+
     program, prog_args, label = build_cell_program(cell)
     machine = cell_machine(cell)
-    kwargs: dict[str, Any] = dict(cell.run_kwargs())
-    if kwargs["node_size"] is None:
-        kwargs.pop("node_size")
-    if kwargs["max_message_words"] == math.inf:
-        kwargs.pop("max_message_words")
     start = time.perf_counter()
-    if use_pool:
-        from repro.simmpi.pool import shared_pool
-
-        result = shared_pool().run(
-            cell.p, program, *prog_args, machine=machine, **kwargs
-        )
-    else:
-        from repro.simmpi import run_spmd
-
-        result = run_spmd(cell.p, program, *prog_args, machine=machine, **kwargs)
+    result = shared_pool().run(
+        cell.p, program, *prog_args, machine=machine, **cell.run_kwargs()
+    )
     wall = time.perf_counter() - start
     return RunRecord.from_result(
         result,

@@ -51,6 +51,20 @@ def jaketown() -> MachineParameters:
     return JAKETOWN
 
 
+@pytest.fixture
+def spmd(request):
+    """The SPMD executor a failure test runs on: ``run_spmd``, or a fresh
+    ``SpmdPool``'s ``run`` for test classes that set ``on_pool = True``
+    (the ``...OnPool`` subclasses rerun a class's tests on the pool)."""
+    from repro.simmpi import SpmdPool, run_spmd
+
+    if not getattr(request.cls, "on_pool", False):
+        yield run_spmd
+        return
+    with SpmdPool() as pool:
+        yield pool.run
+
+
 def machine_strategy() -> st.SearchStrategy[MachineParameters]:
     """Random valid machines for property-based tests.
 

@@ -6,13 +6,15 @@ is the argmin; the budget solutions are tight at the boundary; the
 quadratics satisfy their defining constraints)."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.optimize import NBodyOptimizer
+from repro.core.parameters import MachineParameters
 from repro.exceptions import InfeasibleError, ParameterError
 
 from conftest import machine_strategy
@@ -27,6 +29,19 @@ def optimizer_strategy():
     return machine_strategy().map(
         lambda m: NBodyOptimizer(m, interaction_flops=10.0)
     )
+
+
+def _subnormal_optimizer(**constants):
+    """An optimizer on a machine hypothesis can draw: subnormal
+    ``constants`` over the rest of the draw they were found in."""
+    machine = dict(
+        gamma_t=9.9e-7, beta_t=0.0, alpha_t=0.0,
+        gamma_e=0.0, beta_e=0.0, alpha_e=0.0,
+        delta_e=8.28e-8, epsilon_e=0.0,
+        memory_words=1024.0, max_message_words=1.0,
+    )
+    machine.update(constants)
+    return NBodyOptimizer(MachineParameters(**machine), interaction_flops=10.0)
 
 
 class TestCoefficients:
@@ -152,13 +167,30 @@ class TestMinEnergyGivenRuntime:
         assert run.energy > opt.min_energy(n)
 
     @given(optimizer_strategy(), st.floats(min_value=0.001, max_value=0.5))
+    # Subnormal deadlines, where unguarded float arithmetic overflows in
+    # p = sqrt_p**2, divides by zero in M = n / sqrt(p), or (alpha_t
+    # subnormal too) returns a run of 2.9e-26 s for a 6e-320 s deadline.
+    @example(_subnormal_optimizer(alpha_e=5e-324), 0.5)
+    @example(_subnormal_optimizer(alpha_e=5e-324), 0.001)
+    @example(_subnormal_optimizer(alpha_e=5e-324, alpha_t=2.2e-309), 0.001)
     @settings(max_examples=30)
     def test_pmin_quadratic_is_tight(self, o, frac):
         if o.Dm == 0 or o.B == 0:
             return
         n = 1e6
         t_max = o.runtime_threshold_for_min_energy(n) * frac
-        run = o.min_energy_given_runtime(n, t_max)
+        try:
+            run = o.min_energy_given_runtime(n, t_max)
+        except InfeasibleError as exc:
+            # Refused only without a finite answer: a subnormal deadline,
+            # or a p_min root too big to square. That root is at most
+            # bt n/T + n sqrt(gt f/T), so the bound must be past 1e154.
+            assert f"t_max={t_max!r}" in str(exc)
+            gt_f = o.machine.gamma_t * o.f
+            assert t_max < sys.float_info.min or (
+                o.bt_eff * n / t_max + n * math.sqrt(gt_f / t_max) > 1e154
+            )
+            return
         assert run.time <= t_max * (1 + 1e-6)
         # Any fewer processors would miss the deadline.
         t_fewer = o.time(n, run.p * 0.99, n / math.sqrt(run.p * 0.99))

@@ -21,7 +21,8 @@ import os
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from repro.observatory.ledger import Ledger
+from repro.observatory.ledger import Ledger, RunRecord
+from repro.simmpi import run_spmd
 from repro.sweep import (
     COLLECTIVE_OPS,
     RunCache,
@@ -30,6 +31,7 @@ from repro.sweep import (
     execute_cell,
     run_sweep,
 )
+from repro.sweep.runner import build_cell_program, cell_machine
 
 FUZZ_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "20130527"))
 
@@ -65,6 +67,22 @@ def _signature(record):
     return [tuple(r) for r in record.counts]
 
 
+def _spawned_record(cell):
+    """The cell's RunRecord from a fresh ``run_spmd`` rather than the
+    shared pool :func:`execute_cell` runs on."""
+    program, args, label = build_cell_program(cell)
+    machine = cell_machine(cell)
+    result = run_spmd(cell.p, program, *args, machine=machine, **cell.run_kwargs())
+    return RunRecord.from_result(
+        result,
+        workload=cell.workload,
+        params=dict(cell.params),
+        machine=machine,
+        memory_words=cell.memory_words,
+        label=cell.label or label,
+    )
+
+
 class TestOracleBitIdentity:
     @seed(FUZZ_SEED)
     @given(cell_strategy())
@@ -79,8 +97,8 @@ class TestOracleBitIdentity:
     @given(cell_strategy())
     @settings(max_examples=15, deadline=None)
     def test_pool_and_engine_paths_identical(self, cell):
-        pooled = execute_cell(cell, use_pool=True)
-        fresh = execute_cell(cell, use_pool=False)
+        pooled = execute_cell(cell)
+        fresh = _spawned_record(cell)
         assert _signature(pooled) == _signature(fresh)
         assert pooled.vtimes == fresh.vtimes
         assert pooled.time_terms == fresh.time_terms

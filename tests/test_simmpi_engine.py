@@ -198,18 +198,18 @@ class TestPointToPoint:
 
 
 class TestFailureHandling:
-    def test_rank_exception_propagates(self):
+    def test_rank_exception_propagates(self, spmd):
         def prog(comm):
             if comm.rank == 1:
                 raise ValueError("boom")
             return comm.rank
 
         with pytest.raises(RankFailedError) as exc:
-            run_spmd(3, prog)
+            spmd(3, prog)
         assert 1 in exc.value.failures
         assert isinstance(exc.value.failures[1], ValueError)
 
-    def test_peer_failure_unblocks_receivers(self):
+    def test_peer_failure_unblocks_receivers(self, spmd):
         """A crash on one rank must not leave others hanging until the
         watchdog: the abort wakes them immediately."""
 
@@ -220,17 +220,17 @@ class TestFailureHandling:
 
         t0 = time.time()
         with pytest.raises(RankFailedError) as exc:
-            run_spmd(2, prog, timeout=30.0)
+            spmd(2, prog, timeout=30.0)
         assert time.time() - t0 < 5.0
         # The primary failure is reported, not the secondary deadlock.
         assert isinstance(exc.value.failures[0], RuntimeError)
 
-    def test_deadlock_watchdog(self):
+    def test_deadlock_watchdog(self, spmd):
         def prog(comm):
             comm.recv((comm.rank + 1) % comm.size)  # everyone waits
 
         with pytest.raises(RankFailedError) as exc:
-            run_spmd(2, prog, timeout=0.2)
+            spmd(2, prog, timeout=0.2)
         assert all(
             isinstance(e, DeadlockError) for e in exc.value.failures.values()
         )
@@ -335,10 +335,13 @@ class TestMailboxAbortTimeoutRace:
 
 
 class TestJoinWatchdog:
-    def test_wedged_rank_outside_receive_is_named(self):
+    on_pool = False
+
+    def test_wedged_rank_outside_receive_is_named(self, spmd):
         """The mailbox watchdog only covers ranks blocked in a receive; a
         rank spinning in user code must be caught by the join watchdog,
-        which names it instead of hanging the join forever."""
+        which names it instead of hanging the join forever. A pool also
+        replaces the stuck worker, so either executor stays usable."""
         release = threading.Event()
 
         def prog(comm):
@@ -350,17 +353,20 @@ class TestJoinWatchdog:
         try:
             t0 = time.monotonic()
             with pytest.raises(DeadlockError, match=r"\[1\].*wedged outside") as exc:
-                run_spmd(2, prog, timeout=0.2)
+                spmd(2, prog, timeout=0.2)
             # The budget can also just be too short for a big run.
             exc.match(r"still running.*raise `timeout=`")
+            if self.on_pool:
+                exc.match(r"raise `timeout=`.*workers were replaced")
             # Bounded by 2*timeout+1, not the default 60s join.
             assert time.monotonic() - t0 < 10.0
         finally:
             release.set()
+        assert spmd(2, prog).results == (0, 1)
 
 
 class TestFinalizeCascade:
-    def test_secondary_abort_noise_is_suppressed(self):
+    def test_secondary_abort_noise_is_suppressed(self, spmd):
         """One real failure plus two ranks unblocked by the abort: only
         the primary exception is reported, the DeadlockError cascade on
         the survivors is dropped entirely."""
@@ -371,19 +377,31 @@ class TestFinalizeCascade:
             comm.recv(1)  # ranks 0 and 2 block, then get aborted
 
         with pytest.raises(RankFailedError) as exc:
-            run_spmd(3, prog, timeout=30.0)
+            spmd(3, prog, timeout=30.0)
         assert set(exc.value.failures) == {1}
         assert isinstance(exc.value.failures[1], ValueError)
 
-    def test_multiple_primaries_all_reported(self):
+    def test_multiple_primaries_all_reported(self, spmd):
         def prog(comm):
             if comm.rank in (0, 2):
                 raise RuntimeError(f"boom-{comm.rank}")
             comm.recv(0)
 
         with pytest.raises(RankFailedError) as exc:
-            run_spmd(3, prog, timeout=30.0)
+            spmd(3, prog, timeout=30.0)
         assert set(exc.value.failures) == {0, 2}
         assert all(
             isinstance(e, RuntimeError) for e in exc.value.failures.values()
         )
+
+
+class TestFailureHandlingOnPool(TestFailureHandling):
+    on_pool = True
+
+
+class TestJoinWatchdogOnPool(TestJoinWatchdog):
+    on_pool = True
+
+
+class TestFinalizeCascadeOnPool(TestFinalizeCascade):
+    on_pool = True

@@ -66,28 +66,6 @@ class TestSpmdPool:
             # The pool remains usable after a failed run.
             assert pool.run(4, _sum_of_ranks).results == (6, 6, 6, 6)
 
-    def test_wedged_rank_is_named_and_its_worker_replaced(self):
-        """The join watchdog gives run_spmd's verdict, then replaces the
-        stuck worker so the pool stays usable."""
-        release = threading.Event()
-
-        def prog(comm):
-            if comm.rank == 1:
-                while not release.wait(0.01):  # wedged until released
-                    pass
-            return comm.rank
-
-        with SpmdPool() as pool:
-            try:
-                with pytest.raises(
-                    DeadlockError,
-                    match=r"\[1\].*wedged outside.*raise `timeout=`.*replaced",
-                ):
-                    pool.run(2, prog, timeout=0.2)
-            finally:
-                release.set()
-            assert pool.run(2, _sum_of_ranks).results == (1, 1)
-
     def test_shutdown_is_idempotent_and_final(self):
         pool = SpmdPool()
         pool.run(2, _sum_of_ranks)
@@ -159,26 +137,26 @@ class TestWatchdogDeadline:
 
 
 class TestPoolWithFaults:
-    """Fault injection on the pool substrate: crash isolation behaves
-    exactly as on run_spmd, and a failed fault-injected run leaves the
-    pool usable."""
+    """Fault injection on a fresh pool (and, in the subclass below, on
+    run_spmd): crash isolation behaves the same on both executors, and a
+    failed fault-injected run leaves the executor usable."""
 
-    def test_survivable_crash_reported_on_result(self):
+    on_pool = True
+
+    def test_survivable_crash_reported_on_result(self, spmd):
         from repro.simmpi import FaultPlan, park_until_crash
 
         def prog(comm):
             park_until_crash(comm)  # no-op on live ranks
             return comm.rank
 
-        with SpmdPool() as pool:
-            out = pool.run(
-                4, prog, faults=FaultPlan.single_crash(rank=2, at_op=1),
-                timeout=5.0,
-            )
-            assert out.crashed == (2,)
-            assert out.results == (0, 1, None, 3)
+        out = spmd(
+            4, prog, faults=FaultPlan.single_crash(rank=2, at_op=1), timeout=5.0
+        )
+        assert out.crashed == (2,)
+        assert out.results == (0, 1, None, 3)
 
-    def test_pool_survives_failed_run_with_faults_active(self):
+    def test_pool_survives_failed_run_with_faults_active(self, spmd):
         from repro.exceptions import RankCrashedError
         from repro.simmpi import FaultPlan
 
@@ -188,18 +166,21 @@ class TestPoolWithFaults:
                 return None
             return comm.recv(1)  # unblocked by the peer-dead abort
 
-        with SpmdPool() as pool:
-            with pytest.raises(RankFailedError) as exc:
-                pool.run(
-                    2, needs_rank_one,
-                    faults=FaultPlan.single_crash(rank=1, at_op=1),
-                    timeout=5.0,
-                )
-            # The unabsorbed crash is the primary failure; the survivor's
-            # abandoned receive is secondary noise and not reported.
-            assert set(exc.value.failures) == {1}
-            assert isinstance(exc.value.failures[1], RankCrashedError)
-            # The same workers run the next (fault-free) job cleanly.
-            out = pool.run(2, _sum_of_ranks)
-            assert out.results == (1, 1)
-            assert out.crashed == ()
+        with pytest.raises(RankFailedError) as exc:
+            spmd(
+                2, needs_rank_one,
+                faults=FaultPlan.single_crash(rank=1, at_op=1),
+                timeout=5.0,
+            )
+        # The unabsorbed crash is the primary failure; the survivor's
+        # abandoned receive is secondary noise and not reported.
+        assert set(exc.value.failures) == {1}
+        assert isinstance(exc.value.failures[1], RankCrashedError)
+        # The same workers run the next (fault-free) job cleanly.
+        out = spmd(2, _sum_of_ranks)
+        assert out.results == (1, 1)
+        assert out.crashed == ()
+
+
+class TestSpawnWithFaults(TestPoolWithFaults):
+    on_pool = False
