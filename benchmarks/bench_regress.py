@@ -1,27 +1,23 @@
-"""Benchmark regression gate: fresh numbers vs the committed baselines.
+"""Benchmark regression gate: fresh numbers vs the committed baseline.
 
-The repo commits four performance baselines at its root —
-``BENCH_simmpi.json`` (pool+cow speedup over spawn+copy),
-``BENCH_trace_overhead.json`` (traced/untraced wall-clock ratio),
-``BENCH_metrics_overhead.json`` (metered/unmetered ratio) and
-``BENCH_power_overhead.json`` (power-analysis/run wall-clock ratio).
-This script is the PR gate over them:
+The repo commits one host wall-clock baseline at its root,
+``BENCH_host.json`` (schema ``bench_host/v1``, written by
+``bench_host.py``). This script is the PR gate over it:
 
-1. **Structural checks** — each baseline exists, parses, carries its
-   expected ``schema`` tag, and recorded the correctness flags
-   (``counts_identical``, ``vtimes_identical``) as true. These are hard
-   failures: a baseline that says counts diverged should never have
-   been committed.
-2. **Fresh smoke measurements** — re-runs each benchmark's workload in
-   a small configuration and compares the headline metric against the
-   baseline through the per-metric tolerance table below. Tolerances
-   are deliberately loose (CI wall-clock is noisy and the smoke
-   configuration is smaller than the baseline's): the gate catches
-   order-of-magnitude regressions — a pool that stopped beating spawn,
-   a hook path that got 2.5x slower — not single-digit drift.
-3. The fresh runs' own correctness flags must hold (bit-identical
-   counts with tracing/metrics on or off) — these are exact, not
-   tolerance-based.
+1. **Structural check** — the baseline exists, parses, carries the
+   expected ``schema`` tag, holds every headline, and recorded every
+   bit-identity flag as true. These are hard failures: a baseline that
+   says counts diverged should never have been committed.
+2. **Fresh smoke measurement** — re-runs ``bench_host.py``'s smoke
+   configuration and compares the gated headlines against the baseline
+   through the tolerance table below. Tolerances are deliberately loose
+   (CI wall-clock is noisy and the smoke configuration is smaller than
+   the baseline's): the gate catches order-of-magnitude regressions — a
+   pool that stopped beating spawn, a hook path that got 2.5x slower —
+   not single-digit drift.
+3. The fresh run's own identity flags must hold, each a separately
+   named check so a failure names the observer that perturbed the run.
+   These are exact, not tolerance-based.
 4. **Baseline-less exact gates** — the fault hooks' disabled path, the
    analytic collective fast path, and the observatory's ``record=``
    run-ledger hook must each be bit-identical (counts, per-rank
@@ -44,38 +40,19 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 SCHEMA = "bench_regress/v1"
+BASELINE = "BENCH_host.json"
 
-#: baseline file -> expected schema and required-true correctness flags
-BASELINES = {
-    "BENCH_simmpi.json": {
-        "schema": "bench_simmpi_perf/v2",
-        "flags": ("counts_identical",),
-    },
-    "BENCH_trace_overhead.json": {
-        "schema": "bench_trace_overhead/v1",
-        "flags": ("counts_identical",),
-    },
-    "BENCH_metrics_overhead.json": {
-        "schema": "bench_metrics_overhead/v1",
-        "flags": ("counts_identical", "vtimes_identical"),
-    },
-    "BENCH_power_overhead.json": {
-        "schema": "bench_power_overhead/v1",
-        "flags": ("counts_identical", "vtimes_identical"),
-    },
-}
-
-#: Per-metric tolerance table (see the module docstring for rationale).
-#: ``floor_*`` entries gate metrics that must stay high (speedups);
-#: ``ceil_*`` entries gate metrics that must stay low (overheads). The
-#: relative bound is taken against the baseline's reference value and
-#: combined with the absolute bound so a very tight baseline never
-#: produces an impossible gate.
+#: Gated headline -> (direction, absolute bound, fraction of baseline).
+#: A ``floor`` gates a headline that must stay high (a speedup), a
+#: ``ceil`` one that must stay low (an overhead ratio). Both compare
+#: worst cases across p (the smallest speedup, the largest ratio), and
+#: the bound is max(absolute, fraction x baseline worst case), so a very
+#: tight baseline never produces an impossible gate.
 TOLERANCES = {
-    "simmpi_speedup": {"floor_abs": 1.2, "floor_frac": 0.12},
-    "trace_overhead_ratio": {"ceil_abs": 2.5, "ceil_frac": 2.5},
-    "metrics_overhead_ratio": {"ceil_abs": 2.0, "ceil_frac": 2.5},
-    "power_analysis_ratio": {"ceil_abs": 2.0, "ceil_frac": 2.5},
+    "speedup": ("floor", 1.2, 0.12),
+    "trace_overhead_ratio": ("ceil", 2.5, 2.5),
+    "metrics_overhead_ratio": ("ceil", 2.0, 2.5),
+    "power_analysis_ratio": ("ceil", 2.0, 2.5),
 }
 
 
@@ -86,164 +63,74 @@ def _check(checks: list, name: str, ok: bool, detail: str) -> bool:
     return ok
 
 
-def check_baselines(root: Path, checks: list) -> dict[str, dict]:
-    """Structural pass over every committed baseline."""
-    loaded = {}
-    for fname, spec in BASELINES.items():
-        path = root / fname
-        if not path.is_file():
-            _check(checks, f"{fname}:exists", False, f"missing at {path}")
-            continue
-        try:
-            data = json.loads(path.read_text())
-        except ValueError as exc:
-            _check(checks, f"{fname}:parses", False, str(exc))
-            continue
+def check_baseline(root: Path, checks: list) -> dict | None:
+    """Structural pass over the committed baseline; returns it, or None
+    if it is missing, unreadable or lacks a headline."""
+    import bench_host
+
+    path = root / BASELINE
+    try:
+        data = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        _check(checks, f"{BASELINE}:parses", False, str(exc))
+        return None
+    _check(
+        checks,
+        f"{BASELINE}:schema",
+        data.get("schema") == bench_host.SCHEMA,
+        f"schema={data.get('schema')!r} expected={bench_host.SCHEMA!r}",
+    )
+    identical = data.get("identical") or {}
+    for flag in bench_host.IDENTITY_FLAGS:
         _check(
             checks,
-            f"{fname}:schema",
-            data.get("schema") == spec["schema"],
-            f"schema={data.get('schema')!r} expected={spec['schema']!r}",
+            f"{BASELINE}:{flag}",
+            identical.get(flag) is True,
+            f"{flag}={identical.get(flag)!r}",
         )
-        for flag in spec["flags"]:
-            _check(
-                checks,
-                f"{fname}:{flag}",
-                data.get(flag) is True,
-                f"{flag}={data.get(flag)!r}",
-            )
-        loaded[fname] = data
-    return loaded
+    headlines = data.get("headlines") or {}
+    complete = True
+    for name in bench_host.HEADLINES:
+        complete &= _check(
+            checks,
+            f"{BASELINE}:headline:{name}",
+            bool(headlines.get(name)),
+            f"{len(headlines.get(name) or {})} value(s)",
+        )
+    return data if complete else None
 
 
-def _floor(metric: str, baseline_value: float) -> float:
-    tol = TOLERANCES[metric]
-    return max(tol["floor_abs"], tol["floor_frac"] * baseline_value)
-
-def _ceil(metric: str, baseline_value: float) -> float:
-    tol = TOLERANCES[metric]
-    return max(tol["ceil_abs"], tol["ceil_frac"] * baseline_value)
+def _worst(direction: str, values) -> float:
+    return min(values) if direction == "floor" else max(values)
 
 
-def regress_simmpi(baseline: dict, smoke: bool, checks: list) -> dict:
-    import bench_simmpi_perf
-
-    cfg = (
-        {"sizes": (8,), "words": 4096, "rounds": 2, "repeats": 2}
-        if smoke
-        else {"sizes": (16,), "words": 16384, "rounds": 2, "repeats": 3}
-    )
-    fresh = bench_simmpi_perf.run_benchmark(**cfg)
-    _check(
-        checks,
-        "simmpi:counts_identical(fresh)",
-        fresh["counts_identical"],
-        "pool/cow counts match spawn/copy",
-    )
-    ref_p = min(baseline["speedup"], key=int)
-    ref = baseline["speedup"][ref_p]
-    value = min(fresh["speedup"].values())
-    floor = _floor("simmpi_speedup", ref)
-    _check(
-        checks,
-        "simmpi:speedup",
-        value >= floor,
-        f"fresh={value:.2f}x floor={floor:.2f}x "
-        f"(baseline p={ref_p}: {ref:.2f}x)",
-    )
-    return fresh
+def gate_bound(metric: str, baseline: dict) -> float:
+    """The fresh-value bound ``metric``'s tolerance derives from
+    ``baseline``."""
+    direction, absolute, frac = TOLERANCES[metric]
+    ref = _worst(direction, baseline["headlines"][metric].values())
+    return max(absolute, frac * ref)
 
 
-def regress_trace(baseline: dict, smoke: bool, checks: list) -> dict:
-    import bench_trace_overhead
+def regress_host(baseline: dict, checks: list) -> dict:
+    """Re-run ``bench_host.py``'s smoke configuration: every fresh
+    identity flag must hold, and every gated headline stay in bounds."""
+    import bench_host
 
-    cfg = (
-        {"sizes": (8,), "rounds": 40, "repeats": 2}
-        if smoke
-        else {"sizes": (8,), "rounds": 100, "repeats": 3}
-    )
-    fresh = bench_trace_overhead.run_benchmark(**cfg)
-    _check(
-        checks,
-        "trace:counts_identical(fresh)",
-        fresh["counts_identical"],
-        "traced counts match untraced",
-    )
-    ref = max(baseline["overhead_ratio"].values())
-    value = max(fresh["overhead_ratio"].values())
-    ceil = _ceil("trace_overhead_ratio", ref)
-    _check(
-        checks,
-        "trace:overhead_ratio",
-        value <= ceil,
-        f"fresh={value:.2f}x ceil={ceil:.2f}x (baseline max: {ref:.2f}x)",
-    )
-    return fresh
-
-
-def regress_metrics(baseline: dict, smoke: bool, checks: list) -> dict:
-    import bench_metrics_overhead
-
-    cfg = (
-        {"sizes": (8,), "rounds": 40, "repeats": 2}
-        if smoke
-        else {"sizes": (8,), "rounds": 100, "repeats": 3}
-    )
-    fresh = bench_metrics_overhead.run_benchmark(**cfg)
-    _check(
-        checks,
-        "metrics:counts_identical(fresh)",
-        fresh["counts_identical"],
-        "metered counts match unmetered",
-    )
-    _check(
-        checks,
-        "metrics:vtimes_identical(fresh)",
-        fresh["vtimes_identical"],
-        "metered virtual clocks match unmetered",
-    )
-    ref = max(baseline["overhead_ratio"].values())
-    value = max(fresh["overhead_ratio"].values())
-    ceil = _ceil("metrics_overhead_ratio", ref)
-    _check(
-        checks,
-        "metrics:overhead_ratio",
-        value <= ceil,
-        f"fresh={value:.2f}x ceil={ceil:.2f}x (baseline max: {ref:.2f}x)",
-    )
-    return fresh
-
-
-def regress_power(baseline: dict, smoke: bool, checks: list) -> dict:
-    import bench_power_overhead
-
-    cfg = (
-        {"sizes": (8,), "rounds": 40, "repeats": 2}
-        if smoke
-        else {"sizes": (8,), "rounds": 100, "repeats": 3}
-    )
-    fresh = bench_power_overhead.run_benchmark(**cfg)
-    _check(
-        checks,
-        "power:counts_identical(fresh)",
-        fresh["counts_identical"],
-        "counts match with power analysis on or off",
-    )
-    _check(
-        checks,
-        "power:vtimes_identical(fresh)",
-        fresh["vtimes_identical"],
-        "virtual clocks match with power analysis on or off",
-    )
-    ref = max(baseline["analysis_ratio"].values())
-    value = max(fresh["analysis_ratio"].values())
-    ceil = _ceil("power_analysis_ratio", ref)
-    _check(
-        checks,
-        "power:analysis_ratio",
-        value <= ceil,
-        f"fresh={value:.2f}x ceil={ceil:.2f}x (baseline max: {ref:.2f}x)",
-    )
+    fresh = bench_host.run_benchmark(bench_host.SMOKE)
+    for flag, what in bench_host.IDENTITY_FLAGS.items():
+        _check(checks, f"host:{flag}(fresh)", fresh["identical"][flag], what)
+    for metric, (direction, _, _) in TOLERANCES.items():
+        ref = _worst(direction, baseline["headlines"][metric].values())
+        value = _worst(direction, fresh["headlines"][metric].values())
+        bound = gate_bound(metric, baseline)
+        _check(
+            checks,
+            f"host:{metric}",
+            value >= bound if direction == "floor" else value <= bound,
+            f"fresh={value:.2f}x {direction}={bound:.2f}x "
+            f"(baseline worst: {ref:.2f}x)",
+        )
     return fresh
 
 
@@ -253,7 +140,7 @@ def regress_faults(smoke: bool, checks: list) -> dict:
     AND per-rank virtual clocks. No baseline file — the comparison is
     exact, so there is nothing to tolerate."""
     from repro.algorithms.cannon import cannon_matmul
-    from repro.analysis.validation import default_machine
+    from repro.machines.catalog import default_machine
     from repro.simmpi import DelayFault, FaultPlan, run_spmd
 
     import numpy as np
@@ -385,7 +272,7 @@ def regress_record(smoke: bool, checks: list) -> dict:
     from pathlib import Path as _Path
 
     from repro.algorithms.cannon import cannon_matmul
-    from repro.analysis.validation import default_machine
+    from repro.machines.catalog import default_machine
     from repro.observatory import Ledger, RunRecorder
     from repro.simmpi import run_spmd
 
@@ -624,9 +511,10 @@ def append_to_ledger(report: dict, ledger_path: Path) -> None:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--smoke", action="store_true",
-                    help="smallest configuration (CI gate)")
+                    help="smallest configuration of the exact gates (CI gate); "
+                    "the host gate always re-runs bench_host.py --smoke")
     ap.add_argument("--structural-only", action="store_true",
-                    help="check the committed baselines without re-running "
+                    help="check the committed baseline without re-running "
                     "any benchmark")
     ap.add_argument(
         "--output", type=Path, default=RESULTS_DIR / "bench_regress.json",
@@ -639,20 +527,12 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(Path(__file__).resolve().parent))
 
     checks: list[dict] = []
-    baselines = check_baselines(REPO_ROOT, checks)
+    baseline = check_baseline(REPO_ROOT, checks)
     fresh: dict[str, dict] = {}
     if not args.structural_only:
-        runners = {
-            "BENCH_simmpi.json": regress_simmpi,
-            "BENCH_trace_overhead.json": regress_trace,
-            "BENCH_metrics_overhead.json": regress_metrics,
-            "BENCH_power_overhead.json": regress_power,
-        }
-        for fname, runner in runners.items():
-            if fname not in baselines:
-                continue  # structural failure already recorded
-            print(f"\n== {fname} ==")
-            fresh[fname] = runner(baselines[fname], args.smoke, checks)
+        if baseline is not None:  # else its structural failure is recorded
+            print(f"\n== {BASELINE} ==")
+            fresh["host"] = regress_host(baseline, checks)
         print("\n== fault hooks (disabled path) ==")
         fresh["faults_disabled_path"] = regress_faults(args.smoke, checks)
         print("\n== collective fast path (exact equivalence) ==")

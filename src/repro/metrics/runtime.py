@@ -12,7 +12,7 @@ and one method call — no name lookup. The hooks live in
 collector below (trace-ring occupancy and drops). Like tracing, the
 disabled path pays a single ``is None`` test per operation and the
 metered counts/virtual clocks are bit-identical either way
-(``benchmarks/bench_metrics_overhead.py`` guards both).
+(the ``metered`` arm of ``benchmarks/bench_host.py`` guards both).
 
 Instrument reference
 --------------------

@@ -26,7 +26,7 @@ Like the cost counters, event logs are lock-free by ownership: only the
 owning rank's thread appends during a run, and readers look only after
 the SPMD join. The default path stays zero-overhead: when tracing is
 off no ``EventLog`` exists and every hook is a single ``is None`` test
-(guarded by ``benchmarks/bench_trace_overhead.py``).
+(guarded by the ``traced`` arm of ``benchmarks/bench_host.py``).
 """
 
 from __future__ import annotations

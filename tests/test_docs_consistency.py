@@ -1,7 +1,7 @@
 """Documentation consistency guards.
 
-DESIGN.md and EXPERIMENTS.md promise specific bench targets, modules
-and commands; these tests fail if the docs rot relative to the tree.
+The docs, the verify skill and the source docstrings name bench files,
+modules and commands; these tests fail if they rot relative to the tree.
 """
 
 import importlib
@@ -18,7 +18,12 @@ ROOT = pathlib.Path(__file__).parent.parent
 
 #: Package roots that resolve their public names on first use.
 LAZY_PACKAGES = (
-    "repro", "repro.conformance", "repro.core", "repro.observatory", "repro.sweep"
+    "repro",
+    "repro.conformance",
+    "repro.core",
+    "repro.machines",
+    "repro.observatory",
+    "repro.sweep",
 )
 
 
@@ -52,6 +57,32 @@ class TestTreePromises:
         exps = read("EXPERIMENTS.md")
         for target in set(re.findall(r"`(bench_[a-z0-9_]+\.py)`", exps)):
             assert (ROOT / "benchmarks" / target).is_file(), target
+
+    def test_bench_files_named_anywhere_exist(self):
+        # perfbench/ and CHANGES.md are left out: they may name retired
+        # benches as history.
+        texts = [
+            ROOT / "README.md",
+            ROOT / "DESIGN.md",
+            ROOT / "EXPERIMENTS.md",
+            ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+            *(ROOT / "docs").glob("*.md"),
+            *(ROOT / "src").rglob("*.py"),
+        ]
+        stale = set()
+        for path in texts:
+            text = path.read_text()
+            stale |= {
+                f"{path.relative_to(ROOT)}: {name}"
+                for name in re.findall(r"\bbench_[a-z0-9_]+\.py", text)
+                if not (ROOT / "benchmarks" / name).is_file()
+            }
+            stale |= {
+                f"{path.relative_to(ROOT)}: {name}"
+                for name in re.findall(r"\bBENCH_[A-Za-z0-9_]+\.json", text)
+                if not (ROOT / name).is_file()
+            }
+        assert not stale, sorted(stale)
 
     def test_every_bench_module_is_indexed_in_experiments_or_design(self):
         docs = read("EXPERIMENTS.md") + read("DESIGN.md")

@@ -18,7 +18,7 @@ from repro.algorithms.matmul25d import (
     matmul_25d_resilient,
 )
 from repro.analysis.profiler import ModelProfile
-from repro.analysis.validation import default_machine
+from repro.machines.catalog import default_machine
 from repro.simmpi.engine import run_spmd
 from repro.simmpi.faults import (
     CrashFault,

@@ -19,6 +19,8 @@ WARM_SWEEP_FORBIDDEN = (
     "repro.simmpi",
     "repro.algorithms",
     "repro.analysis",
+    "repro.machines.casestudy",
+    "repro.machines.presets",
 )
 
 _DUMP_AT_EXIT = textwrap.dedent(

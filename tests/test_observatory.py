@@ -7,8 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.analysis.validation import default_machine
 from repro.exceptions import ParameterError
+from repro.machines.catalog import default_machine
 from repro.observatory import (
     DRIFT_TOLERANCES,
     Ledger,

@@ -18,10 +18,10 @@ from repro.analysis.powertrace import (
     catalog_power_caps,
 )
 from repro.analysis.profiler import ENERGY_TERM_KEYS, ModelProfile
-from repro.analysis.validation import default_machine
 from repro.cli import _build_trace_program
 from repro.core.power import average_power_from_report
 from repro.exceptions import ParameterError
+from repro.machines.catalog import default_machine
 from repro.simmpi import run_spmd
 
 MACHINE = default_machine()

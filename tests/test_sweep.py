@@ -26,7 +26,7 @@ from repro.sweep.cache import FINGERPRINT_ENV
 
 
 def _machine_dict():
-    from repro.analysis.validation import default_machine
+    from repro.machines.catalog import default_machine
 
     m = default_machine()
     return {
